@@ -208,8 +208,8 @@ impl NeuronFaults {
         }
     }
 
-    /// Evaluates a batch of activations (64 lanes per settle through a
-    /// vectorizable faulty unit). Identical to mapping
+    /// Evaluates a batch of activations through the faulty unit's batch
+    /// ladder (see [`dta_circuits::ops`]). Identical to mapping
     /// [`NeuronFaults::activation`].
     pub fn activation_batch(&mut self, xs: &[Fx], lut: &SigmoidLut) -> Vec<Fx> {
         match self.act.as_mut() {
@@ -696,10 +696,10 @@ impl FaultPlan {
     }
 
     /// True if every faulty operator in the plan is combinational, so
-    /// whole-dataset forward passes can run 64 samples per settle (see
-    /// [`crate::Mlp::forward_faulty_batch`]). Stateful defects (memory
-    /// effects, delays) force the scalar path, whose per-sample
-    /// evaluation order is part of the semantics.
+    /// whole-dataset forward passes run 64 samples per sweep on the
+    /// fused stream (see [`crate::Mlp::forward_faulty_batch`]). Stateful
+    /// defects (memory effects, delays) force the scalar path, whose
+    /// per-sample evaluation order is part of the semantics.
     pub fn vectorizable(&self) -> bool {
         self.neurons.values().all(|nf| nf.vectorizable())
             && self.mem.as_ref().is_none_or(|m| m.vectorizable())

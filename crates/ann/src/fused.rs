@@ -1,9 +1,7 @@
 //! Network-level fusion of the faulty forward pass.
 //!
-//! [`crate::Mlp::forward_faulty_batch`] dispatches every faulty operator
-//! through its own per-operator LUT stream, repacking 64-lane words at
-//! each operator boundary. [`FusedForward`] instead compiles the *whole*
-//! forward pass of one `(topology, fault-plan)` pair into a single
+//! [`FusedForward`] compiles the *whole* forward pass of one
+//! `(topology, fault-plan)` pair into a single
 //! [`dta_logic::FusedProgram`]: every faulty multiplier, adder and
 //! sigmoid unit — faults already lowered into patched truth words —
 //! becomes a segment of one straight-line instruction stream over a
@@ -12,8 +10,7 @@
 //! zero repacking, and consecutive faulty adders chain in-gate).
 //!
 //! Healthy operators never enter the stream: the runner evaluates them
-//! natively between stage barriers, exactly like the per-operator
-//! engine ladder would. On top of the raw fusion the program is run
+//! natively between stage barriers. On top of the raw fusion the program is run
 //! through [`dta_logic::optimize`]'s pass pipeline — constant folding
 //! through the patched truth words (physical synapses beyond the
 //! logical input width and masked hidden lanes feed compile-time-zero
@@ -24,12 +21,17 @@
 //! Compilation is memoized process-wide per (topology, defect-plan
 //! fingerprint), so campaign cells and mission batches amortize it
 //! across every epoch and batch; [`fused_cache_stats`] exposes the
-//! hit/miss counters for benchmark breakdowns. The engine-preference
-//! ladder for batch evaluation is: fused → per-operator LUT → 64-lane
-//! gate simulation → cone-of-influence → scalar settle.
+//! hit/miss counters for benchmark breakdowns.
+//!
+//! A network's batch path is fused → scalar: a plan compiles exactly
+//! when it is [vectorizable](crate::FaultPlan::vectorizable), and
+//! [`crate::Mlp::forward_faulty_batch`] replays every other plan row by
+//! row through [`crate::Mlp::forward_faulty`]. Per-operator batch
+//! ladders (native → LUT → cone → scalar) live in
+//! [`dta_circuits::ops`] and serve the operator-level callers.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use dta_fixed::{Fx, SigmoidLut};
@@ -44,20 +46,8 @@ use crate::mlp::{ForwardTrace, Mlp};
 /// unbounded cache would grow with the sweep).
 const CACHE_CAP: usize = 256;
 
-static DISABLE_FUSED: AtomicBool = AtomicBool::new(false);
 static CACHE_HITS: AtomicU64 = AtomicU64::new(0);
 static CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide switch disabling the fused network engine, so
-/// benchmarks can time the per-operator ladder underneath it.
-pub fn disable_fused_engine(disable: bool) {
-    DISABLE_FUSED.store(disable, Ordering::SeqCst);
-}
-
-/// True if [`disable_fused_engine`] turned the fused engine off.
-pub fn fused_engine_disabled() -> bool {
-    DISABLE_FUSED.load(Ordering::SeqCst)
-}
 
 /// `(hits, misses)` of the process-wide fused-compilation memo —
 /// measures compilation amortization across campaign cells and epochs.

@@ -42,14 +42,6 @@ const KNOWN_KEYS: &[(&str, &str)] = &[
     ),
     ("full", "true = paper-scale configuration"),
     ("serial", "exp_fig10: also time a --threads 1 reference run"),
-    (
-        "baseline",
-        "exp_fig10: also time the uncached switch-level engine",
-    ),
-    (
-        "lutpar",
-        "exp_fig10: also time the partitioned lut + fused engines vs one-thread references",
-    ),
     ("bench-out", "path for the machine-readable timing JSON"),
     (
         "breakdown",

@@ -227,33 +227,10 @@ impl SatAdderCircuit {
         Fx::from_bits(sim.read_word(&self.out) as u16)
     }
 
-    /// Creates a fresh 64-lane simulator for this circuit.
+    /// Creates a fresh healthy 64-lane simulator for this circuit (the
+    /// healthy twin of the cone-pruned batch path).
     pub fn simulator64(&self) -> Simulator64 {
         Simulator64::new(Arc::clone(&self.net))
-    }
-
-    /// Computes a whole batch of saturating sums, 64 lanes per settle.
-    /// Only valid with combinational overrides (see
-    /// [`crate::DefectPlan::apply64`]); results are then identical to
-    /// repeated [`SatAdderCircuit::compute`] calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` and `b` differ in length.
-    pub fn compute64(&self, sim: &mut Simulator64, a: &[Fx], b: &[Fx]) -> Vec<Fx> {
-        assert_eq!(a.len(), b.len(), "operand batches must match");
-        let mut out = Vec::with_capacity(a.len());
-        for (ca, cb) in a.chunks(64).zip(b.chunks(64)) {
-            let wa: Vec<u64> = ca.iter().map(|v| v.to_bits() as u64).collect();
-            let wb: Vec<u64> = cb.iter().map(|v| v.to_bits() as u64).collect();
-            sim.set_input_words(&self.a, &wa);
-            sim.set_input_words(&self.b, &wb);
-            sim.settle();
-            out.extend(
-                (0..ca.len()).map(|l| Fx::from_bits(sim.read_word_lane(&self.out, l) as u16)),
-            );
-        }
-        out
     }
 
     /// The LSB-first `a` operand input bus.

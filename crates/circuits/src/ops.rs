@@ -8,6 +8,20 @@
 //! plus a simulator with the injected defects, and exposes a plain
 //! `Fx -> Fx` interface that `dta-ann` calls for marked neurons while
 //! every healthy operator runs native Q6.10 arithmetic.
+//!
+//! Batch entry points pick one rung from what the installed plan lowers
+//! to, and every rung is bit-identical to mapping the scalar entry point
+//! over the batch:
+//!
+//! 1. **native** — no defect: plain Q6.10 arithmetic;
+//! 2. **LUT** — every fault lowered to a truth-word patch
+//!    ([`DefectPlan::apply_lut`]): the compiled instruction stream,
+//!    64 lanes per straight-line sweep;
+//! 3. **cone** — stateful or dynamic faults: a healthy 64-lane twin
+//!    settles the batch and only the faulty gates' cone of influence is
+//!    gate-simulated per lane, sharing the scalar simulator's state;
+//! 4. **scalar** — the event-driven [`dta_logic::Simulator`], one
+//!    stimulus at a time, when the cone plan is refused.
 
 use std::sync::{Arc, OnceLock};
 
@@ -16,7 +30,7 @@ use rand::Rng;
 use dta_fixed::{Fx, SigmoidLut};
 
 use crate::adder::SatAdderCircuit;
-use crate::inject::{switch_level_baseline, DefectPlan, FaultModel};
+use crate::inject::{DefectPlan, FaultModel};
 use crate::multiplier::FxMulCircuit;
 use crate::sigmoid_unit::SigmoidUnitCircuit;
 
@@ -33,21 +47,17 @@ macro_rules! hw_operator {
         pub struct $name {
             circuit: Arc<$circuit>,
             sim: dta_logic::Simulator,
-            /// Lane-parallel twin of `sim`, present iff every injected
-            /// fault is combinational (see [`DefectPlan::apply64`]);
-            /// batch entry points go through it 64 stimuli per settle.
-            sim64: Option<dta_logic::Simulator64>,
-            /// Healthy (override-free) lane-parallel twin, present iff
-            /// the fault set is *stateful*: batch entry points settle it
-            /// 64 stimuli at a time and gate-simulate only `sim`'s cone
-            /// of influence per lane (see [`dta_logic::Simulator::prepare_cone`]).
+            /// Healthy lane-parallel twin, present iff the fault set is
+            /// *stateful* and `sim` accepted a cone plan: batch entry
+            /// points settle it 64 stimuli at a time and gate-simulate
+            /// only `sim`'s cone of influence per lane (see
+            /// [`dta_logic::Simulator::prepare_cone`]).
             healthy64: Option<dta_logic::Simulator64>,
             /// Compiled LUT instruction-stream engine, present iff the
             /// plan lowered to truth-word patches alone (see
-            /// [`DefectPlan::apply_lut`]); it is the fastest batch path
-            /// and is preferred over `sim64` when available. Stateful
-            /// plans stay on the cone path so memory effects share
-            /// `sim`'s behavior state with the scalar entry points.
+            /// [`DefectPlan::apply_lut`]). Stateful plans stay on the
+            /// cone path so memory effects share `sim`'s behavior state
+            /// with the scalar entry points.
             lut: Option<dta_logic::LutExec>,
             plan: DefectPlan,
         }
@@ -62,64 +72,37 @@ macro_rules! hw_operator {
             /// immutable, so many operators can reuse one instance).
             pub fn with_circuit(circuit: Arc<$circuit>) -> Self {
                 let sim = circuit.simulator();
-                let sim64 = Some(circuit.simulator64());
                 Self {
                     circuit,
                     sim,
-                    sim64,
                     healthy64: None,
                     lut: None,
                     plan: DefectPlan::new(FaultModel::TransistorLevel),
                 }
             }
 
-            /// Rebuilds the lane-parallel simulator for the current
-            /// plan. Stateful fault sets drop it and instead keep the
-            /// untouched simulator as the healthy twin of the
-            /// cone-pruned differential batch path — unless a benchmark
-            /// baseline forces the seed or PR-1 engine, in which case
-            /// batches fall back to plain scalar evaluation.
-            fn rebuild_sim64(&mut self) {
+            /// Rebuilds the batch engines for the current plan: the
+            /// patched LUT stream when every fault lowers to a truth
+            /// word, otherwise the healthy twin of the cone-pruned path.
+            fn rebuild_batch_engines(&mut self) {
                 self.lut = None;
-                if !self.plan.is_empty()
-                    && !dta_logic::lut_backend_disabled()
-                    && !switch_level_baseline()
-                    && !dta_logic::full_settle_forced()
-                {
-                    let mut ex = self.circuit.lut_exec();
-                    if self.plan.apply_lut(&mut ex) {
-                        self.lut = Some(ex);
-                    }
+                self.healthy64 = None;
+                if self.plan.is_empty() {
+                    return;
                 }
-                let mut s = self.circuit.simulator64();
-                if self.plan.apply64(&mut s) {
-                    self.sim64 = Some(s);
-                    self.healthy64 = None;
-                } else {
-                    self.sim64 = None;
-                    let baseline =
-                        switch_level_baseline() || dta_logic::full_settle_forced();
-                    self.healthy64 = (!baseline
-                        && !self.plan.is_empty()
-                        && self.sim.prepare_cone())
-                    .then_some(s);
+                let mut ex = self.circuit.lut_exec();
+                if self.plan.apply_lut(&mut ex) {
+                    self.lut = Some(ex);
+                } else if self.sim.prepare_cone() {
+                    self.healthy64 = Some(self.circuit.simulator64());
                 }
             }
 
-            /// True when the healthy native shortcut applies: no defect
-            /// injected and no benchmark baseline forcing full gate
-            /// simulation.
-            fn native_ok(&self) -> bool {
-                self.plan.is_empty()
-                    && !switch_level_baseline()
-                    && !dta_logic::full_settle_forced()
-            }
-
-            /// True if every injected fault is combinational, i.e. the
-            /// batch entry points run 64 lanes per settle instead of
-            /// falling back to the scalar simulator.
+            /// True if the batch entry points run word-parallel without
+            /// per-lane state: natively when healthy, on the patched LUT
+            /// stream when every fault is combinational.
             pub fn vectorizable(&self) -> bool {
-                self.sim64.is_some()
+                self.plan.is_empty() || self.lut.is_some()
             }
 
             /// True if the current plan lowered entirely to truth-word
@@ -181,7 +164,7 @@ macro_rules! hw_operator {
                     );
                 }
                 self.plan.apply(&mut self.sim);
-                self.rebuild_sim64();
+                self.rebuild_batch_engines();
                 self.plan
                     .records()
                     .iter()
@@ -194,7 +177,7 @@ macro_rules! hw_operator {
                 self.plan.remove(&mut self.sim);
                 plan.apply(&mut self.sim);
                 self.plan = plan;
-                self.rebuild_sim64();
+                self.rebuild_batch_engines();
             }
 
             /// Number of injected defects.
@@ -247,28 +230,25 @@ impl HwAdder {
     /// skip gate simulation entirely: the circuit is bit-exact with the
     /// native saturating Q6.10 add.
     pub fn add(&mut self, a: Fx, b: Fx) -> Fx {
-        if self.native_ok() {
+        if self.plan.is_empty() {
             return a + b;
         }
         self.circuit.compute(&mut self.sim, a, b)
     }
 
-    /// Computes a whole batch of sums — native when healthy, a compiled
-    /// LUT instruction stream when the fault set lowered to truth-word
-    /// patches, 64 lanes per settle when it is merely combinational,
-    /// cone-pruned differential batches when it is stateful. Identical
-    /// to mapping [`HwAdder::add`] over the pairs.
+    /// Computes a whole batch of sums on the rung the plan lowers to
+    /// (see the module docs). Identical to mapping [`HwAdder::add`]
+    /// over the pairs.
     pub fn add_batch(&mut self, a: &[Fx], b: &[Fx]) -> Vec<Fx> {
-        if self.native_ok() {
+        if self.plan.is_empty() {
             return a.iter().zip(b).map(|(&x, &y)| x + y).collect();
         }
         if let Some(lut) = self.lut.as_mut() {
             return self.circuit.compute_lut(lut, a, b);
         }
-        match (self.sim64.as_mut(), self.healthy64.as_mut()) {
-            (Some(sim64), _) => self.circuit.compute64(sim64, a, b),
-            (None, Some(healthy)) => self.circuit.compute_cone(&mut self.sim, healthy, a, b),
-            (None, None) => a
+        match self.healthy64.as_mut() {
+            Some(healthy) => self.circuit.compute_cone(&mut self.sim, healthy, a, b),
+            None => a
                 .iter()
                 .zip(b)
                 .map(|(&x, &y)| self.circuit.compute(&mut self.sim, x, y))
@@ -299,29 +279,25 @@ impl HwMultiplier {
     /// gate simulation entirely: the circuit is bit-exact with the
     /// native truncating, saturating Q6.10 multiply.
     pub fn mul(&mut self, a: Fx, b: Fx) -> Fx {
-        if self.native_ok() {
+        if self.plan.is_empty() {
             return a * b;
         }
         self.circuit.compute(&mut self.sim, a, b)
     }
 
-    /// Computes a whole batch of products — native when healthy, a
-    /// compiled LUT instruction stream when the fault set lowered to
-    /// truth-word patches, 64 lanes per settle when it is merely
-    /// combinational, cone-pruned differential batches when it is
-    /// stateful. Identical to mapping [`HwMultiplier::mul`] over the
-    /// pairs.
+    /// Computes a whole batch of products on the rung the plan lowers
+    /// to (see the module docs). Identical to mapping
+    /// [`HwMultiplier::mul`] over the pairs.
     pub fn mul_batch(&mut self, a: &[Fx], b: &[Fx]) -> Vec<Fx> {
-        if self.native_ok() {
+        if self.plan.is_empty() {
             return a.iter().zip(b).map(|(&x, &y)| x * y).collect();
         }
         if let Some(lut) = self.lut.as_mut() {
             return self.circuit.compute_lut(lut, a, b);
         }
-        match (self.sim64.as_mut(), self.healthy64.as_mut()) {
-            (Some(sim64), _) => self.circuit.compute64(sim64, a, b),
-            (None, Some(healthy)) => self.circuit.compute_cone(&mut self.sim, healthy, a, b),
-            (None, None) => a
+        match self.healthy64.as_mut() {
+            Some(healthy) => self.circuit.compute_cone(&mut self.sim, healthy, a, b),
+            None => a
                 .iter()
                 .zip(b)
                 .map(|(&x, &y)| self.circuit.compute(&mut self.sim, x, y))
@@ -352,30 +328,26 @@ impl HwSigmoid {
     /// skip gate simulation entirely: the circuit is bit-exact with the
     /// native 16-segment [`SigmoidLut`].
     pub fn eval(&mut self, x: Fx) -> Fx {
-        if self.native_ok() {
+        if self.plan.is_empty() {
             return sigmoid_lut().eval(x);
         }
         self.circuit.compute(&mut self.sim, x)
     }
 
-    /// Computes a whole batch of activations — native when healthy, a
-    /// compiled LUT instruction stream when the fault set lowered to
-    /// truth-word patches, 64 lanes per settle when it is merely
-    /// combinational, cone-pruned differential batches when it is
-    /// stateful. Identical to mapping [`HwSigmoid::eval`] over the
-    /// inputs.
+    /// Computes a whole batch of activations on the rung the plan
+    /// lowers to (see the module docs). Identical to mapping
+    /// [`HwSigmoid::eval`] over the inputs.
     pub fn eval_batch(&mut self, xs: &[Fx]) -> Vec<Fx> {
-        if self.native_ok() {
+        if self.plan.is_empty() {
             let lut = sigmoid_lut();
             return xs.iter().map(|&x| lut.eval(x)).collect();
         }
         if let Some(lut) = self.lut.as_mut() {
             return self.circuit.compute_lut(lut, xs);
         }
-        match (self.sim64.as_mut(), self.healthy64.as_mut()) {
-            (Some(sim64), _) => self.circuit.compute64(sim64, xs),
-            (None, Some(healthy)) => self.circuit.compute_cone(&mut self.sim, healthy, xs),
-            (None, None) => xs
+        match self.healthy64.as_mut() {
+            Some(healthy) => self.circuit.compute_cone(&mut self.sim, healthy, xs),
+            None => xs
                 .iter()
                 .map(|&x| self.circuit.compute(&mut self.sim, x))
                 .collect(),
@@ -453,7 +425,7 @@ mod tests {
     #[test]
     fn batch_matches_scalar_for_combinational_faults() {
         // Hunt for a seed whose defects stay combinational, then check
-        // the 64-lane path against element-wise evaluation.
+        // the patched LUT path against element-wise evaluation.
         let mut found = false;
         for seed in 0..20 {
             let mut mul = HwMultiplier::new();
@@ -462,6 +434,7 @@ mod tests {
             if !mul.vectorizable() {
                 continue;
             }
+            assert!(mul.lut_ready(), "combinational plans run on the LUT stream");
             found = true;
             let a: Vec<Fx> = (0..150).map(|i| Fx::from_raw((i * 431) as i16)).collect();
             let b: Vec<Fx> = (0..150)
@@ -526,43 +499,6 @@ mod tests {
             assert_eq!(prods[i], a[i] * b[i]);
             assert_eq!(acts[i], lut.eval(a[i]));
         }
-    }
-
-    #[test]
-    fn lut_backend_matches_scalar_and_can_be_disabled() {
-        // Operators whose plan lowers to pure truth-word patches route
-        // batches through the compiled LUT stream; outputs must equal
-        // element-wise scalar evaluation, and the process-global
-        // disable hook must force the rebuilt operator off the engine
-        // without changing any output bit.
-        let mut found = false;
-        for seed in 0..20 {
-            let mut mul = HwMultiplier::new();
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            mul.inject_random(FaultModel::TransistorLevel, 4, &mut rng);
-            if !mul.lut_ready() {
-                continue;
-            }
-            found = true;
-            let a: Vec<Fx> = (0..150).map(|i| Fx::from_raw((i * 431) as i16)).collect();
-            let b: Vec<Fx> = (0..150)
-                .map(|i| Fx::from_raw((i * 77 - 999) as i16))
-                .collect();
-            let batch = mul.mul_batch(&a, &b);
-            let scalar: Vec<Fx> = a.iter().zip(&b).map(|(&x, &y)| mul.mul(x, y)).collect();
-            assert_eq!(batch, scalar, "seed {seed}");
-            dta_logic::disable_lut_backend(true);
-            let mut off = HwMultiplier::new();
-            let mut rng2 = ChaCha8Rng::seed_from_u64(seed);
-            off.inject_random(FaultModel::TransistorLevel, 4, &mut rng2);
-            let off_ready = off.lut_ready();
-            let off_batch = off.mul_batch(&a, &b);
-            dta_logic::disable_lut_backend(false);
-            assert!(!off_ready, "hook must keep the LUT engine off");
-            assert_eq!(off_batch, batch, "seed {seed}: backends diverged");
-            break;
-        }
-        assert!(found, "no fully-patchable 4-defect seed in 0..20");
     }
 
     #[test]

@@ -254,26 +254,10 @@ impl SigmoidUnitCircuit {
         Fx::from_bits(sim.read_word(&self.out) as u16)
     }
 
-    /// Creates a fresh 64-lane simulator for this circuit.
+    /// Creates a fresh healthy 64-lane simulator for this circuit (the
+    /// healthy twin of the cone-pruned batch path).
     pub fn simulator64(&self) -> Simulator64 {
         Simulator64::new(Arc::clone(&self.net))
-    }
-
-    /// Evaluates a whole batch of activations, 64 lanes per settle.
-    /// Only valid with combinational overrides (see
-    /// [`crate::DefectPlan::apply64`]); results are then identical to
-    /// repeated [`SigmoidUnitCircuit::compute`] calls.
-    pub fn compute64(&self, sim: &mut Simulator64, xs: &[Fx]) -> Vec<Fx> {
-        let mut out = Vec::with_capacity(xs.len());
-        for chunk in xs.chunks(64) {
-            let wx: Vec<u64> = chunk.iter().map(|v| v.to_bits() as u64).collect();
-            sim.set_input_words(&self.x, &wx);
-            sim.settle();
-            out.extend(
-                (0..chunk.len()).map(|l| Fx::from_bits(sim.read_word_lane(&self.out, l) as u16)),
-            );
-        }
-        out
     }
 
     /// The LSB-first `x` input bus.

@@ -678,62 +678,6 @@ mod tests {
         assert_eq!(points, output_amplitude_curve(&spec, 3, Some(8), 11, 1));
     }
 
-    /// End-to-end settle-strategy identity: the same campaign run with
-    /// every simulator forced onto the compiled full sweep (which also
-    /// disables cone pruning and 64-lane batching in the operator
-    /// layer) must reproduce the event-driven curves bit-for-bit, for
-    /// every activation class.
-    #[test]
-    fn forced_full_settle_curves_are_bit_identical() {
-        let spec = iris();
-        for activation in [
-            Activation::Permanent,
-            Activation::Transient {
-                per_eval_probability: 0.3,
-            },
-            Activation::Intermittent { period: 4, duty: 2 },
-        ] {
-            let cfg = CampaignConfig {
-                activation,
-                defect_counts: vec![0, 6],
-                ..tiny_cfg()
-            };
-            let event = defect_tolerance_curve(&spec, &cfg).unwrap();
-            dta_logic::force_full_settle(true);
-            let full = defect_tolerance_curve(&spec, &cfg);
-            dta_logic::force_full_settle(false);
-            assert_eq!(event, full.unwrap(), "{activation:?}");
-        }
-    }
-
-    /// Forcing operators off the compiled LUT instruction stream (back
-    /// onto the event-driven / cone-pruned batch paths) must reproduce
-    /// the default curves bit-for-bit, for every activation class —
-    /// permanent plans exercise the truth-word-patch lowering, dynamic
-    /// ones the per-lane override fallback.
-    #[test]
-    fn lut_backend_curves_are_bit_identical() {
-        let spec = iris();
-        for activation in [
-            Activation::Permanent,
-            Activation::Transient {
-                per_eval_probability: 0.3,
-            },
-            Activation::Intermittent { period: 4, duty: 2 },
-        ] {
-            let cfg = CampaignConfig {
-                activation,
-                defect_counts: vec![0, 6],
-                ..tiny_cfg()
-            };
-            let with_lut = defect_tolerance_curve(&spec, &cfg).unwrap();
-            dta_logic::disable_lut_backend(true);
-            let without = defect_tolerance_curve(&spec, &cfg);
-            dta_logic::disable_lut_backend(false);
-            assert_eq!(with_lut, without.unwrap(), "{activation:?}");
-        }
-    }
-
     #[test]
     fn parallel_curve_is_bit_identical_to_serial() {
         let spec = iris();
@@ -884,8 +828,7 @@ mod tests {
 
     /// Zero-defect bit-identity through the memory path: attaching a
     /// healthy weight store to every cell must reproduce the operator
-    /// campaign byte-for-byte, for every activation class (mirrors the
-    /// `disable_lut_backend` A/B guard).
+    /// campaign byte-for-byte, for every activation class.
     #[test]
     fn zero_defect_memory_campaign_is_bit_identical() {
         let spec = iris();

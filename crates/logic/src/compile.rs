@@ -18,30 +18,11 @@
 //! ranks, never each other.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::gate::GateKind;
 use crate::netlist::{Netlist, Node, NodeId};
-
-/// Benchmark/testing hook: when set, operator wiring that would prefer
-/// the compiled LUT instruction stream falls back to the interpreting
-/// engines. Sampled when an operator (re)builds its engines, exactly like
-/// [`crate::force_full_settle`]. Results are bit-identical either way.
-static DISABLE_LUT: AtomicBool = AtomicBool::new(false);
-
-/// Disables (or re-enables) the LUT instruction-stream backend for every
-/// operator built afterwards in this process. Only meant for benchmarks
-/// and differential tests that cross-check the LUT schedule against the
-/// interpreting engines.
-pub fn disable_lut_backend(on: bool) {
-    DISABLE_LUT.store(on, Ordering::SeqCst);
-}
-
-/// True while [`disable_lut_backend`] is in effect.
-pub fn lut_backend_disabled() -> bool {
-    DISABLE_LUT.load(Ordering::SeqCst)
-}
 
 static CACHE_HITS: AtomicU64 = AtomicU64::new(0);
 static CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
@@ -428,14 +409,5 @@ mod tests {
         let p1 = LutProgram::cached(&net);
         let p2 = LutProgram::cached(&net);
         assert!(Arc::ptr_eq(&p1, &p2));
-    }
-
-    #[test]
-    fn lut_hook_toggles() {
-        assert!(!lut_backend_disabled());
-        disable_lut_backend(true);
-        assert!(lut_backend_disabled());
-        disable_lut_backend(false);
-        assert!(!lut_backend_disabled());
     }
 }

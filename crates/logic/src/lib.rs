@@ -53,15 +53,12 @@ pub mod sim;
 pub mod sim64;
 pub mod stuck;
 
-pub use compile::{
-    disable_lut_backend, kind_table, lut_backend_disabled, program_cache_stats, LatchSlot,
-    LutInstr, LutProgram,
-};
+pub use compile::{kind_table, program_cache_stats, LatchSlot, LutInstr, LutProgram};
 pub use exec::LutExec;
 pub use fuse::{FuseBuilder, FusedExec, FusedProgram, DEAD_SLOT};
 pub use gate::{GateBehavior, GateKind};
 pub use netlist::{ConeClosure, Netlist, NetlistBuilder, NetlistError, Node, NodeId};
 pub use opt::{optimize, optimize_with_consts, OptStats, SlotMap};
-pub use sim::{force_full_settle, full_settle_forced, SettleMode, Simulator};
-pub use sim64::{Behavior64, Simulator64};
+pub use sim::{SettleMode, Simulator};
+pub use sim64::Simulator64;
 pub use stuck::{StuckAt, StuckPort, StuckSet};

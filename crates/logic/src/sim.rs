@@ -1,31 +1,10 @@
 //! Netlist evaluation engine.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crate::gate::{GateBehavior, GateKind};
 use crate::netlist::{ConeClosure, Netlist, Node, NodeId};
 use crate::sim64::{eval_kind64, Simulator64};
-
-/// Benchmark hook: when set, every subsequently constructed [`Simulator`]
-/// and [`Simulator64`] starts in [`SettleMode::Full`] — the PR-1 compiled
-/// sweep — instead of the event-driven default. Results are bit-identical
-/// either way; only the speed differs. Sampled at construction time so
-/// the per-settle cost stays zero.
-static FORCE_FULL_SETTLE: AtomicBool = AtomicBool::new(false);
-
-/// Forces (or releases) the compiled full-sweep settle for every
-/// simulator constructed afterwards in this process. Only meant for
-/// benchmarks and differential tests that measure or cross-check the
-/// event-driven path against the full sweep.
-pub fn force_full_settle(on: bool) {
-    FORCE_FULL_SETTLE.store(on, Ordering::SeqCst);
-}
-
-/// True while [`force_full_settle`] is in effect.
-pub fn full_settle_forced() -> bool {
-    FORCE_FULL_SETTLE.load(Ordering::SeqCst)
-}
 
 /// How [`Simulator::settle`] (and [`Simulator64::settle`]) propagates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -162,17 +141,12 @@ impl Simulator {
         }
         let overrides = std::iter::repeat_with(|| None).take(values.len()).collect();
         let n_sched = net.schedule().0.len();
-        let mode = if full_settle_forced() {
-            SettleMode::Full
-        } else {
-            SettleMode::Event
-        };
         Simulator {
             net,
             values,
             overrides,
             n_overrides: 0,
-            mode,
+            mode: SettleMode::Event,
             dirty: vec![false; n_sched],
             dirty_lo: u32::MAX,
             dirty_hi: 0,

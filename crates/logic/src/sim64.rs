@@ -6,51 +6,18 @@
 //! instances — a ~40× speedup for exhaustive sweeps like the Figure 5
 //! distributions or the defect-visibility analysis.
 //!
-//! Gate overrides use [`Behavior64`]; **stateless** faults (the
-//! gate-level stuck-at model) vectorize exactly ([`crate::StuckSet`]
-//! implements the trait). Transistor-level faulty cells with memory
-//! effects are *sequence-dependent* and must stay on the scalar
-//! [`crate::Simulator`], which is why both engines exist.
+//! [`Simulator64`] is a **healthy-only** lane simulator: it takes no gate
+//! overrides. Faulty evaluation belongs to the scalar [`crate::Simulator`]
+//! (the oracle) and the compiled [`crate::LutExec`]; the 64-lane engine
+//! serves them as the healthy twin that cone-of-influence pruning
+//! ([`crate::Simulator::settle_cone_from64`]) reads outside the fault
+//! cone, and as the engine for exhaustive healthy sweeps.
 
 use std::sync::Arc;
 
 use crate::gate::GateKind;
 use crate::netlist::{Netlist, Node, NodeId};
-use crate::sim::{full_settle_forced, SettleMode, MAX_ARITY};
-use crate::stuck::{StuckPort, StuckSet};
-
-/// Vectorized replacement behavior for a gate: every input and the
-/// output are 64-lane bit vectors.
-pub trait Behavior64: std::fmt::Debug + Send {
-    /// Computes the 64-lane output for 64-lane inputs.
-    fn eval64(&mut self, inputs: &[u64]) -> u64;
-
-    /// Clears any internal state.
-    fn reset(&mut self) {}
-}
-
-impl Behavior64 for StuckSet {
-    fn eval64(&mut self, inputs: &[u64]) -> u64 {
-        // Stuck-at faults are lane-uniform and stateless: patch the
-        // stuck pins across all lanes, then evaluate vectorized.
-        let mut patched: Vec<u64> = inputs.to_vec();
-        let mut output_stuck = None;
-        for (port, value) in self.faults() {
-            match port {
-                StuckPort::Output => {
-                    if output_stuck.is_none() {
-                        output_stuck = Some(value);
-                    }
-                }
-                StuckPort::Input(k) => patched[k] = if value { !0 } else { 0 },
-            }
-        }
-        if let Some(v) = output_stuck {
-            return if v { !0 } else { 0 };
-        }
-        eval_kind64(self.kind(), &patched)
-    }
-}
+use crate::sim::SettleMode;
 
 /// Vectorized healthy cell function.
 pub fn eval_kind64(kind: GateKind, v: &[u64]) -> u64 {
@@ -113,9 +80,6 @@ fn eval_pins64(kind: GateKind, values: &[u64], pins: &[u32]) -> u64 {
 pub struct Simulator64 {
     net: Arc<Netlist>,
     values: Vec<u64>,
-    /// Dense per-node override slots — see [`crate::Simulator`].
-    overrides: Vec<Option<Box<dyn Behavior64>>>,
-    n_overrides: usize,
     mode: SettleMode,
     /// Event-driven bookkeeping, mirroring [`crate::Simulator`]: dirty
     /// flags plus the bounds of the dirty schedule range (empty when
@@ -125,7 +89,6 @@ pub struct Simulator64 {
     dirty_hi: u32,
     n_dirty: u32,
     all_dirty: bool,
-    override_sched: Vec<u32>,
 }
 
 impl Simulator64 {
@@ -138,25 +101,16 @@ impl Simulator64 {
                 values[l.index()] = if *init { !0 } else { 0 };
             }
         }
-        let overrides = std::iter::repeat_with(|| None).take(values.len()).collect();
         let n_sched = net.schedule().0.len();
-        let mode = if full_settle_forced() {
-            SettleMode::Full
-        } else {
-            SettleMode::Event
-        };
         Simulator64 {
             net,
             values,
-            overrides,
-            n_overrides: 0,
-            mode,
+            mode: SettleMode::Event,
             dirty: vec![false; n_sched],
             dirty_lo: u32::MAX,
             dirty_hi: 0,
             n_dirty: 0,
             all_dirty: true,
-            override_sched: Vec::new(),
         }
     }
 
@@ -198,15 +152,6 @@ impl Simulator64 {
                 self.dirty_hi = self.dirty_hi.max(pos);
                 self.n_dirty += 1;
             }
-        }
-    }
-
-    fn mark_pos(&mut self, pos: u32) {
-        if !self.dirty[pos as usize] {
-            self.dirty[pos as usize] = true;
-            self.dirty_lo = self.dirty_lo.min(pos);
-            self.dirty_hi = self.dirty_hi.max(pos);
-            self.n_dirty += 1;
         }
     }
 
@@ -265,27 +210,9 @@ impl Simulator64 {
         let net = Arc::clone(&self.net);
         let (sched, pins) = net.schedule();
         let values = &mut self.values;
-        if self.n_overrides == 0 {
-            for g in sched {
-                let p = &pins[g.in_start as usize..][..g.in_len as usize];
-                values[g.out as usize] = eval_pins64(g.kind, values, p);
-            }
-        } else {
-            let overrides = &mut self.overrides;
-            for g in sched {
-                let p = &pins[g.in_start as usize..][..g.in_len as usize];
-                let v = match overrides[g.out as usize].as_mut() {
-                    Some(b) => {
-                        let mut buf = [0u64; MAX_ARITY];
-                        for (k, &i) in p.iter().enumerate() {
-                            buf[k] = values[i as usize];
-                        }
-                        b.eval64(&buf[..p.len()])
-                    }
-                    None => eval_pins64(g.kind, values, p),
-                };
-                values[g.out as usize] = v;
-            }
+        for g in sched {
+            let p = &pins[g.in_start as usize..][..g.in_len as usize];
+            values[g.out as usize] = eval_pins64(g.kind, values, p);
         }
         self.all_dirty = false;
         if self.dirty_lo <= self.dirty_hi {
@@ -307,40 +234,20 @@ impl Simulator64 {
         }
         let net = Arc::clone(&self.net);
         let (sched, pins) = net.schedule();
-        let mut lo = self.dirty_lo;
+        let lo = self.dirty_lo;
         let mut hi = self.dirty_hi;
-        let ov = &self.override_sched;
-        if let (Some(&first), Some(&last)) = (ov.first(), ov.last()) {
-            lo = lo.min(first);
-            hi = hi.max(last);
-        }
         let values = &mut self.values;
-        let overrides = &mut self.overrides;
         let dirty = &mut self.dirty;
-        let mut next_ov = 0usize;
         let mut pos = lo;
         while pos <= hi {
-            let forced = next_ov < ov.len() && ov[next_ov] == pos;
-            if forced {
-                next_ov += 1;
-            }
-            if !dirty[pos as usize] && !forced {
+            if !dirty[pos as usize] {
                 pos += 1;
                 continue;
             }
             dirty[pos as usize] = false;
             let g = &sched[pos as usize];
             let p = &pins[g.in_start as usize..][..g.in_len as usize];
-            let v = match overrides[g.out as usize].as_mut() {
-                Some(b) => {
-                    let mut buf = [0u64; MAX_ARITY];
-                    for (k, &i) in p.iter().enumerate() {
-                        buf[k] = values[i as usize];
-                    }
-                    b.eval64(&buf[..p.len()])
-                }
-                None => eval_pins64(g.kind, values, p),
-            };
+            let v = eval_pins64(g.kind, values, p);
             if v != values[g.out as usize] {
                 values[g.out as usize] = v;
                 for &t in net.fanout_of(g.out) {
@@ -390,51 +297,12 @@ impl Simulator64 {
     pub fn read_words(&self, bus: &[NodeId], n_lanes: usize) -> Vec<u64> {
         (0..n_lanes).map(|l| self.read_word_lane(bus, l)).collect()
     }
-
-    /// Installs a vectorized gate override (fault injection).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not a gate node.
-    pub fn override_gate(&mut self, id: NodeId, behavior: Box<dyn Behavior64>) {
-        assert!(
-            matches!(self.net.node(id), Node::Gate { .. }),
-            "{id} is not a gate"
-        );
-        let pos = self.net.sched_index(id.0);
-        if self.overrides[id.index()].replace(behavior).is_none() {
-            self.n_overrides += 1;
-            let at = self.override_sched.partition_point(|&p| p < pos);
-            self.override_sched.insert(at, pos);
-        }
-        if self.tracking_changes() {
-            self.mark_pos(pos);
-        }
-    }
-
-    /// Removes an override.
-    pub fn clear_override(&mut self, id: NodeId) {
-        if self.overrides[id.index()].take().is_some() {
-            self.n_overrides -= 1;
-            let pos = self.net.sched_index(id.0);
-            self.override_sched.retain(|&p| p != pos);
-            if self.tracking_changes() {
-                self.mark_pos(pos);
-            }
-        }
-    }
-
-    /// Number of installed gate overrides.
-    pub fn override_count(&self) -> usize {
-        self.n_overrides
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::netlist::NetlistBuilder;
-    use crate::sim::Simulator;
 
     fn ripple_adder4() -> (Arc<Netlist>, Vec<NodeId>, Vec<NodeId>, Vec<NodeId>) {
         let mut b = NetlistBuilder::new();
@@ -489,52 +357,6 @@ mod tests {
                 assert_eq!(got, if want { !0u64 } else { 0 }, "{kind} {scalar:?}");
             }
         }
-    }
-
-    #[test]
-    fn stuck_set_vectorizes() {
-        let mut set = StuckSet::new(GateKind::And2);
-        set.add(StuckPort::Input(0), true);
-        // AND2 with in0 stuck at 1 passes in1 through, per lane.
-        let out = set.eval64(&[0b0011, 0b0101]);
-        assert_eq!(out & 0b1111, 0b0101);
-
-        let mut set = StuckSet::new(GateKind::Xor2);
-        set.add(StuckPort::Output, false);
-        assert_eq!(set.eval64(&[!0u64, 0]), 0);
-    }
-
-    #[test]
-    fn override_applies_per_gate() {
-        let (net, a, x, sum) = ripple_adder4();
-        // Find an XOR gate and stick its output high in the vector sim.
-        let gate = net
-            .gates()
-            .find(|(_, k)| *k == GateKind::Xor2)
-            .map(|(id, _)| id)
-            .unwrap();
-        let mut set = StuckSet::new(GateKind::Xor2);
-        set.add(StuckPort::Output, true);
-
-        let mut v = Simulator64::new(net.clone());
-        v.override_gate(gate, Box::new(set.clone()));
-        let mut s = Simulator::new(net.clone());
-        s.override_gate(gate, Box::new(set));
-
-        for (pa, pb) in [(0u64, 0u64), (3, 5), (15, 15), (9, 6)] {
-            v.set_input_words(&a, &[pa]);
-            v.set_input_words(&x, &[pb]);
-            v.settle();
-            s.set_input_word(&a, pa);
-            s.set_input_word(&x, pb);
-            s.settle();
-            assert_eq!(v.read_word_lane(&sum, 0), s.read_word(&sum));
-        }
-        v.clear_override(gate);
-        v.set_input_words(&a, &[7]);
-        v.set_input_words(&x, &[8]);
-        v.settle();
-        assert_eq!(v.read_word_lane(&sum, 0), 15);
     }
 
     #[test]
