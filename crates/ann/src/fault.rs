@@ -135,6 +135,39 @@ impl Default for LatchFaults {
     }
 }
 
+impl LatchFaults {
+    /// Reads a weight through the latch: permanent masks first, then
+    /// each dynamic bit that its activation machine switches on.
+    fn filter(&mut self, w: Fx) -> Fx {
+        let mut bits = (w.to_bits() & self.and_mask) | self.or_mask;
+        for b in &mut self.dynamic {
+            if b.state.advance() {
+                if b.stuck_one {
+                    bits |= 1 << b.bit;
+                } else {
+                    bits &= !(1 << b.bit);
+                }
+            }
+        }
+        Fx::from_bits(bits)
+    }
+}
+
+/// The defective operators of one physical synapse: its multiplier,
+/// accumulation adder and weight latch, each present only if faulty.
+#[derive(Debug, Default)]
+struct SynapseFaults {
+    index: usize,
+    mul: Option<HwMultiplier>,
+    add: Option<HwAdder>,
+    latch: Option<LatchFaults>,
+}
+
+/// Native saturating multiply-accumulate of paired weights and inputs.
+fn native_mac(acc: Fx, ws: &[Fx], xs: &[Fx]) -> Fx {
+    ws.iter().zip(xs).fold(acc, |acc, (&w, &x)| acc + w * x)
+}
+
 /// The faulty operators of one neuron.
 ///
 /// In the spatially expanded accelerator every synapse has its own
@@ -145,34 +178,98 @@ impl Default for LatchFaults {
 /// state elements"), so latch defects are stuck bits in the stored word.
 #[derive(Debug, Default)]
 pub struct NeuronFaults {
-    muls: HashMap<usize, HwMultiplier>,
-    adds: HashMap<usize, HwAdder>,
+    /// One entry per faulty synapse, sorted by physical index.
+    synapses: Vec<SynapseFaults>,
     act: Option<HwSigmoid>,
-    /// Per-synapse stuck bits applied to the stored weight word.
-    latches: HashMap<usize, LatchFaults>,
 }
 
 impl NeuronFaults {
+    /// Position of synapse `i`'s entry, or where it would be inserted.
+    fn position(&self, i: usize) -> Result<usize, usize> {
+        self.synapses.binary_search_by_key(&i, |s| s.index)
+    }
+
+    fn synapse(&self, i: usize) -> Option<&SynapseFaults> {
+        Some(&self.synapses[self.position(i).ok()?])
+    }
+
+    fn synapse_mut(&mut self, i: usize) -> Option<&mut SynapseFaults> {
+        let k = self.position(i).ok()?;
+        Some(&mut self.synapses[k])
+    }
+
+    /// The entry of synapse `i`, inserted in index order if absent.
+    fn synapse_entry(&mut self, i: usize) -> &mut SynapseFaults {
+        let k = self.position(i).unwrap_or_else(|k| {
+            let entry = SynapseFaults {
+                index: i,
+                ..SynapseFaults::default()
+            };
+            self.synapses.insert(k, entry);
+            k
+        });
+        &mut self.synapses[k]
+    }
+
     /// One past the highest physical synapse index carrying a fault
     /// (multiplier, adder or latch); 0 if only the activation is faulty.
     pub fn max_synapse_excl(&self) -> usize {
-        self.muls
-            .keys()
-            .chain(self.adds.keys())
-            .chain(self.latches.keys())
-            .map(|&i| i + 1)
-            .max()
-            .unwrap_or(0)
+        self.synapses.last().map_or(0, |s| s.index + 1)
+    }
+
+    /// Multiply-accumulates `acc + Σ ws[i]·xs[i]` over the neuron's
+    /// physical synapses, routing each faulty one through its latch,
+    /// multiplier and adder circuits in that order.
+    ///
+    /// `xs` holds the task's inputs. `ws` holds their weights as
+    /// fetched, and may run past `xs` with the words an attached store
+    /// returned for physical synapses beyond the task width; a missing
+    /// word reads as zero. Below the task width, healthy synapses run
+    /// native saturating MACs between the faulty ones. Beyond it, only
+    /// faulty synapses are visited: a healthy synapse there multiplies
+    /// by a zero input, and a saturating `acc + 0` is `acc`. Faulty
+    /// synapses are visited in ascending index order, so stateful
+    /// circuits and dynamic latch bits advance exactly as in a dense
+    /// walk over every synapse.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ws` is shorter than `xs`.
+    pub fn accumulate(&mut self, mut acc: Fx, ws: &[Fx], xs: &[Fx]) -> Fx {
+        let n = xs.len();
+        assert!(ws.len() >= n, "one weight per input");
+        let mut next = 0;
+        for s in &mut self.synapses {
+            let i = s.index;
+            let end = i.min(n);
+            acc = native_mac(acc, &ws[next..end], &xs[next..end]);
+            next = (i + 1).min(n);
+            let x = xs.get(i).copied().unwrap_or(Fx::ZERO);
+            let w = ws.get(i).copied().unwrap_or(Fx::ZERO);
+            let w = match s.latch.as_mut() {
+                Some(lf) => lf.filter(w),
+                None => w,
+            };
+            let p = match s.mul.as_mut() {
+                Some(hw) => hw.mul(w, x),
+                None => w * x,
+            };
+            acc = match s.add.as_mut() {
+                Some(hw) => hw.add(acc, p),
+                None => acc + p,
+            };
+        }
+        native_mac(acc, &ws[next..n], &xs[next..n])
     }
 
     /// The faulty multiplier at synapse `i`, if any.
     pub fn multiplier_mut(&mut self, i: usize) -> Option<&mut HwMultiplier> {
-        self.muls.get_mut(&i)
+        self.synapse_mut(i)?.mul.as_mut()
     }
 
     /// The faulty accumulation adder at step `i`, if any.
     pub fn adder_mut(&mut self, i: usize) -> Option<&mut HwAdder> {
-        self.adds.get_mut(&i)
+        self.synapse_mut(i)?.add.as_mut()
     }
 
     /// Applies any latch stuck-bit faults of synapse `i` to a weight.
@@ -181,20 +278,8 @@ impl NeuronFaults {
     /// weight fetches; active dynamic bits overwrite the permanent
     /// masks in injection order.
     pub fn latch_filter(&mut self, i: usize, w: Fx) -> Fx {
-        match self.latches.get_mut(&i) {
-            Some(lf) => {
-                let mut bits = (w.to_bits() & lf.and_mask) | lf.or_mask;
-                for b in &mut lf.dynamic {
-                    if b.state.advance() {
-                        if b.stuck_one {
-                            bits |= 1 << b.bit;
-                        } else {
-                            bits &= !(1 << b.bit);
-                        }
-                    }
-                }
-                Fx::from_bits(bits)
-            }
+        match self.synapse_mut(i).and_then(|s| s.latch.as_mut()) {
+            Some(lf) => lf.filter(w),
             None => w,
         }
     }
@@ -223,29 +308,42 @@ impl NeuronFaults {
     /// stuck-bit masks are pure functions and never disqualify; dynamic
     /// latch faults advance per weight read and force the scalar path.
     pub fn vectorizable(&self) -> bool {
-        self.muls.values().all(|hw| hw.vectorizable())
-            && self.adds.values().all(|hw| hw.vectorizable())
-            && self.act.as_ref().is_none_or(|hw| hw.vectorizable())
-            && self.latches.values().all(|lf| lf.dynamic.is_empty())
+        self.synapses.iter().all(|s| {
+            s.mul.as_ref().is_none_or(|hw| hw.vectorizable())
+                && s.add.as_ref().is_none_or(|hw| hw.vectorizable())
+                && s.latch.as_ref().is_none_or(|lf| lf.dynamic.is_empty())
+        }) && self.act.as_ref().is_none_or(|hw| hw.vectorizable())
     }
 
     /// True if this neuron carries no fault (plans prune such entries).
     pub fn is_empty(&self) -> bool {
-        self.muls.is_empty()
-            && self.adds.is_empty()
-            && self.act.is_none()
-            && self.latches.is_empty()
+        self.synapses.is_empty() && self.act.is_none()
+    }
+
+    /// The faulty synapses in ascending index order, each with its
+    /// faulty multiplier and adder (if any) and its permanent latch
+    /// masks (see [`NeuronFaults::latch_masks`]).
+    pub(crate) fn faulty_synapses(
+        &self,
+    ) -> impl Iterator<Item = (usize, Option<&HwMultiplier>, Option<&HwAdder>, (u16, u16))> {
+        self.synapses.iter().map(|s| {
+            let masks = s
+                .latch
+                .as_ref()
+                .map_or((0xFFFF, 0), |lf| (lf.and_mask, lf.or_mask));
+            (s.index, s.mul.as_ref(), s.add.as_ref(), masks)
+        })
     }
 
     /// Read-only view of the faulty multiplier at synapse `i` (the
     /// network fuser reads its patched LUT stream without evaluating).
     pub(crate) fn mul_at(&self, i: usize) -> Option<&HwMultiplier> {
-        self.muls.get(&i)
+        self.synapse(i)?.mul.as_ref()
     }
 
     /// Read-only view of the faulty adder at step `i`.
     pub(crate) fn add_at(&self, i: usize) -> Option<&HwAdder> {
-        self.adds.get(&i)
+        self.synapse(i)?.add.as_ref()
     }
 
     /// Read-only view of the faulty activation unit.
@@ -259,25 +357,27 @@ impl NeuronFaults {
     /// [vectorizable](NeuronFaults::vectorizable) neurons, where the
     /// dynamic list is empty.
     pub(crate) fn latch_masks(&self, i: usize) -> (u16, u16) {
-        self.latches
-            .get(&i)
+        self.synapse(i)
+            .and_then(|s| s.latch.as_ref())
             .map_or((0xFFFF, 0), |lf| (lf.and_mask, lf.or_mask))
     }
 
     fn reset_state(&mut self) {
-        for hw in self.muls.values_mut() {
-            hw.reset_state();
-        }
-        for hw in self.adds.values_mut() {
-            hw.reset_state();
+        for s in &mut self.synapses {
+            if let Some(hw) = s.mul.as_mut() {
+                hw.reset_state();
+            }
+            if let Some(hw) = s.add.as_mut() {
+                hw.reset_state();
+            }
+            if let Some(lf) = s.latch.as_mut() {
+                for b in &mut lf.dynamic {
+                    b.state.reset();
+                }
+            }
         }
         if let Some(hw) = self.act.as_mut() {
             hw.reset_state();
-        }
-        for lf in self.latches.values_mut() {
-            for b in &mut lf.dynamic {
-                b.state.reset();
-            }
         }
     }
 }
@@ -540,9 +640,9 @@ impl FaultPlan {
         let (desc, site) = if instance < hw_inputs {
             let syn = instance;
             let hw = nf
-                .muls
-                .entry(syn)
-                .or_insert_with(|| HwMultiplier::with_circuit(Arc::clone(lib_mul)));
+                .synapse_entry(syn)
+                .mul
+                .get_or_insert_with(|| HwMultiplier::with_circuit(Arc::clone(lib_mul)));
             let d = hw
                 .inject_random_with(model, activation, 1, rng)
                 .pop()
@@ -559,9 +659,9 @@ impl FaultPlan {
         } else if instance < 2 * hw_inputs {
             let step = instance - hw_inputs;
             let hw = nf
-                .adds
-                .entry(step)
-                .or_insert_with(|| HwAdder::with_circuit(Arc::clone(lib_add)));
+                .synapse_entry(step)
+                .add
+                .get_or_insert_with(|| HwAdder::with_circuit(Arc::clone(lib_add)));
             let d = hw
                 .inject_random_with(model, activation, 1, rng)
                 .pop()
@@ -579,7 +679,7 @@ impl FaultPlan {
             let syn = instance - 2 * hw_inputs;
             let bit = rng.random_range(0..16u32);
             let stuck_one = rng.random_bool(0.5);
-            let lf = nf.latches.entry(syn).or_default();
+            let lf = nf.synapse_entry(syn).latch.get_or_insert_default();
             let desc = if activation.is_permanent() {
                 if stuck_one {
                     lf.or_mask |= 1 << bit;
@@ -646,9 +746,9 @@ impl FaultPlan {
         let (_, lib_add, _) = library();
         let nf = self.entry(Layer::Output, neuron);
         let hw = nf
-            .adds
-            .entry(last_step)
-            .or_insert_with(|| HwAdder::with_circuit(Arc::clone(lib_add)));
+            .synapse_entry(last_step)
+            .add
+            .get_or_insert_with(|| HwAdder::with_circuit(Arc::clone(lib_add)));
         let d = hw
             .inject_random(FaultModel::TransistorLevel, 1, rng)
             .pop()
@@ -741,14 +841,11 @@ mod tests {
     fn latch_filter_applies_stuck_bits() {
         let mut nf = NeuronFaults::default();
         // bit0 stuck 0, bit15 stuck 1
-        nf.latches.insert(
-            3,
-            LatchFaults {
-                and_mask: 0xFFFE,
-                or_mask: 0x8000,
-                dynamic: Vec::new(),
-            },
-        );
+        nf.synapse_entry(3).latch = Some(LatchFaults {
+            and_mask: 0xFFFE,
+            or_mask: 0x8000,
+            dynamic: Vec::new(),
+        });
         let w = Fx::from_bits(0x0001);
         let filtered = nf.latch_filter(3, w);
         assert_eq!(filtered.to_bits(), 0x8000);
@@ -759,17 +856,14 @@ mod tests {
     #[test]
     fn intermittent_latch_bit_corrupts_alternate_reads() {
         let mut nf = NeuronFaults::default();
-        nf.latches.insert(
-            0,
-            LatchFaults {
-                dynamic: vec![LatchBit {
-                    bit: 15,
-                    stuck_one: true,
-                    state: ActivationState::new(Activation::Intermittent { period: 2, duty: 1 }, 0),
-                }],
-                ..LatchFaults::default()
-            },
-        );
+        nf.synapse_entry(0).latch = Some(LatchFaults {
+            dynamic: vec![LatchBit {
+                bit: 15,
+                stuck_one: true,
+                state: ActivationState::new(Activation::Intermittent { period: 2, duty: 1 }, 0),
+            }],
+            ..LatchFaults::default()
+        });
         assert!(!nf.vectorizable(), "dynamic latch forces the scalar path");
         let w = Fx::from_bits(0x0001);
         // duty 1 / period 2: faulty, clean, faulty, clean ...

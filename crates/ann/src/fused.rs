@@ -31,12 +31,13 @@
 //! [`dta_circuits::ops`] and serve the operator-level callers.
 
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use dta_fixed::{Fx, SigmoidLut};
 use dta_logic::{optimize_with_consts, FuseBuilder, FusedExec, FusedProgram, LutExec, OptStats};
-use dta_logic::{NodeId, SlotMap};
+use dta_logic::{Netlist, NodeId, SlotMap};
 
 use crate::fault::{FaultPlan, Layer, NeuronFaults};
 use crate::mlp::{ForwardTrace, Mlp};
@@ -67,18 +68,34 @@ pub fn clear_fused_cache() {
 
 /// Identity of one faulty operator's patched instruction stream: the
 /// shared netlist (instruction skeleton) plus the patched truth words.
-#[derive(PartialEq, Eq, Hash)]
+/// The netlist compares by address, and the key pins its `Arc`, so a
+/// freed circuit can never alias a live key.
 struct OpKey {
-    net: usize,
+    net: Arc<Netlist>,
     tables: Vec<u16>,
 }
 
 impl OpKey {
-    fn new(net: usize, ex: &LutExec) -> OpKey {
+    fn new(net: &Arc<Netlist>, ex: &LutExec) -> OpKey {
         OpKey {
-            net,
+            net: Arc::clone(net),
             tables: ex.instrs().iter().map(|i| i.table).collect(),
         }
+    }
+}
+
+impl PartialEq for OpKey {
+    fn eq(&self, other: &OpKey) -> bool {
+        Arc::ptr_eq(&self.net, &other.net) && self.tables == other.tables
+    }
+}
+
+impl Eq for OpKey {}
+
+impl Hash for OpKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        Arc::as_ptr(&self.net).hash(state);
+        self.tables.hash(state);
     }
 }
 
@@ -703,11 +720,11 @@ fn compile_layer(
         let n_eff = n_logical.max(nf.max_synapse_excl());
         let mut mul_syns = Vec::new();
         let mut add_syns = Vec::new();
-        for i in 0..n_eff {
-            if nf.mul_at(i).is_some() {
+        for (i, mul, add, _) in nf.faulty_synapses() {
+            if mul.is_some() {
                 mul_syns.push(i);
             }
-            if nf.add_at(i).is_some() {
+            if add.is_some() {
                 add_syns.push(i);
             }
         }
@@ -925,25 +942,19 @@ fn neuron_key(nf: &NeuronFaults, lane: usize, n_logical: usize) -> Option<Neuron
     let mut muls = Vec::new();
     let mut adds = Vec::new();
     let mut latches = Vec::new();
-    for i in 0..n_eff {
-        if let Some(hw) = nf.mul_at(i) {
-            let net = Arc::as_ptr(hw.circuit().netlist()) as usize;
-            muls.push((i, OpKey::new(net, hw.lut_stream()?)));
+    for (i, mul, add, (and, or)) in nf.faulty_synapses() {
+        if let Some(hw) = mul {
+            muls.push((i, OpKey::new(hw.circuit().netlist(), hw.lut_stream()?)));
         }
-        if let Some(hw) = nf.add_at(i) {
-            let net = Arc::as_ptr(hw.circuit().netlist()) as usize;
-            adds.push((i, OpKey::new(net, hw.lut_stream()?)));
+        if let Some(hw) = add {
+            adds.push((i, OpKey::new(hw.circuit().netlist(), hw.lut_stream()?)));
         }
-        let (and, or) = nf.latch_masks(i);
         if (and, or) != (0xFFFF, 0) {
             latches.push((i, and, or));
         }
     }
     let act = match nf.act_ref() {
-        Some(hw) => {
-            let net = Arc::as_ptr(hw.circuit().netlist()) as usize;
-            Some(OpKey::new(net, hw.lut_stream()?))
-        }
+        Some(hw) => Some(OpKey::new(hw.circuit().netlist(), hw.lut_stream()?)),
         None => None,
     };
     Some(NeuronKey {

@@ -350,32 +350,26 @@ impl Mlp {
             }
             return acc;
         };
+        // An attached store is read for every physical synapse up to
+        // the last faulty one, beyond the task width too: each fetch
+        // advances its access state and ECC counters. Without one, the
+        // walk reads only the task's weights.
         let n_logical = inputs.len();
-        let n_eff = n_logical.max(nf.max_synapse_excl());
-        let mut acc = bias;
-        // The physical synapse range can extend past `inputs` (defective
-        // columns beyond the task width), so this cannot iterate the slice.
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..n_eff {
-            let (w, xi) = if i < n_logical {
-                (weight_of(self, i), inputs[i])
-            } else {
-                (Fx::ZERO, Fx::ZERO) // physical synapse beyond the task
-            };
-            // Array first (the store feeds the lane's weight latch),
-            // then the latch's own stuck bits.
-            let w = fetch_through(&mut mem, layer, neuron, i, w);
-            let w = nf.latch_filter(i, w);
-            let p = match nf.multiplier_mut(i) {
-                Some(hw) => hw.mul(w, xi),
-                None => w * xi,
-            };
-            acc = match nf.adder_mut(i) {
-                Some(hw) => hw.add(acc, p),
-                None => acc + p,
-            };
-        }
-        acc
+        let n_fetch = match mem {
+            Some(_) => n_logical.max(nf.max_synapse_excl()),
+            None => n_logical,
+        };
+        let ws: Vec<Fx> = (0..n_fetch)
+            .map(|i| {
+                let w = if i < n_logical {
+                    weight_of(self, i)
+                } else {
+                    Fx::ZERO // physical synapse beyond the task
+                };
+                fetch_through(&mut mem, layer, neuron, i, w)
+            })
+            .collect();
+        nf.accumulate(bias, &ws, inputs)
     }
 }
 

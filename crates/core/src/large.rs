@@ -203,35 +203,14 @@ impl LargeNetworkMapper {
         end: usize,
         operand_of: impl Fn(usize) -> (Fx, Fx),
     ) -> Fx {
-        let operands: Vec<(Fx, Fx)> = (start..end).map(operand_of).collect();
+        let (ws, xs): (Vec<Fx>, Vec<Fx>) = (start..end).map(operand_of).unzip();
         let Some(nf) = self.faults.neuron_mut(Layer::Hidden, slot) else {
-            for (wq, xi) in operands {
-                acc += wq * xi;
+            for (w, x) in ws.into_iter().zip(xs) {
+                acc += w * x;
             }
             return acc;
         };
-        let n_logical = operands.len();
-        let n_eff = n_logical.max(nf.max_synapse_excl());
-        // The physical synapse range can extend past `operands` (defective
-        // columns beyond the task width), so this cannot iterate the slice.
-        #[allow(clippy::needless_range_loop)]
-        for p in 0..n_eff {
-            let (wq, xi) = if p < n_logical {
-                operands[p]
-            } else {
-                (Fx::ZERO, Fx::ZERO)
-            };
-            let wq = nf.latch_filter(p, wq);
-            let prod = match nf.multiplier_mut(p) {
-                Some(hw) => hw.mul(wq, xi),
-                None => wq * xi,
-            };
-            acc = match nf.adder_mut(p) {
-                Some(hw) => hw.add(acc, prod),
-                None => acc + prod,
-            };
-        }
-        acc
+        nf.accumulate(acc, &ws, &xs)
     }
 }
 

@@ -9,8 +9,14 @@
 //! transient), and compare every
 //! batch entry point against row-by-row scalar evaluation, resetting
 //! the fault state before each side.
+//!
+//! The scalar faulty forward itself walks only the faulty synapses
+//! beyond the task width. A test-local dense walk over every physical
+//! synapse, built from the public per-synapse accessors, pins that walk
+//! to the original semantics: the same traces, and the same activation
+//! and store state left behind.
 
-use dta::ann::{FaultPlan, FusedForward, Layer, Mlp, Topology};
+use dta::ann::{FaultPlan, ForwardTrace, FusedForward, Layer, Mlp, Topology, UnitKind};
 use dta::circuits::{Activation, FaultModel, HwAdder, HwMultiplier, HwSigmoid};
 use dta::core::{MemGeometry, WeightMemory};
 use dta::fixed::{Fx, SigmoidLut};
@@ -214,4 +220,199 @@ fn operator_batches_equal_scalar() {
         }
     }
     assert!(native > 0 && lut > 0 && cone > 0, "{native}/{lut}/{cone}");
+}
+
+/// The faulty forward pass as the dense walk it was first written as:
+/// every physical synapse up to the last faulty one, each through the
+/// plan's public per-synapse accessors and store fetch in turn. This is
+/// the reference order in which stateful circuits, dynamic latch bits
+/// and store accesses advance.
+fn dense_forward(mlp: &Mlp, x: &[f64], lut: &SigmoidLut, plan: &mut FaultPlan) -> ForwardTrace {
+    let topo = mlp.topology();
+    let xq: Vec<Fx> = x.iter().map(|&v| Fx::from_f64(v)).collect();
+    let mut hidden = Vec::with_capacity(topo.hidden);
+    for j in 0..topo.hidden {
+        let lane = plan.hidden_lane(j);
+        if plan.is_masked(Layer::Hidden, lane) {
+            hidden.push(Fx::ZERO);
+            continue;
+        }
+        let bias = Fx::from_f64(mlp.w_hidden(j, topo.inputs));
+        let ws: Vec<Fx> = (0..topo.inputs)
+            .map(|i| Fx::from_f64(mlp.w_hidden(j, i)))
+            .collect();
+        let acc = dense_sum(plan, Layer::Hidden, lane, bias, &ws, &xq);
+        hidden.push(dense_activation(plan, Layer::Hidden, lane, acc, lut));
+    }
+    let (mut output_pre, mut output) = (Vec::new(), Vec::new());
+    for k in 0..topo.outputs {
+        if plan.is_masked(Layer::Output, k) {
+            output_pre.push(0.0);
+            output.push(0.0);
+            continue;
+        }
+        let bias = Fx::from_f64(mlp.w_output(k, topo.hidden));
+        let ws: Vec<Fx> = (0..topo.hidden)
+            .map(|j| Fx::from_f64(mlp.w_output(k, j)))
+            .collect();
+        let acc = dense_sum(plan, Layer::Output, k, bias, &ws, &hidden);
+        output_pre.push(acc.to_f64());
+        output.push(dense_activation(plan, Layer::Output, k, acc, lut).to_f64());
+    }
+    ForwardTrace {
+        hidden: hidden.iter().map(|h| h.to_f64()).collect(),
+        output_pre,
+        output,
+    }
+}
+
+fn dense_sum(
+    plan: &mut FaultPlan,
+    layer: Layer,
+    lane: usize,
+    bias: Fx,
+    ws: &[Fx],
+    xs: &[Fx],
+) -> Fx {
+    let n_eff = plan
+        .neuron_mut(layer, lane)
+        .map_or(xs.len(), |nf| xs.len().max(nf.max_synapse_excl()));
+    let mut acc = plan.mem_bias(layer, lane, bias);
+    for i in 0..n_eff {
+        let (w, x) = match (ws.get(i), xs.get(i)) {
+            (Some(&w), Some(&x)) => (w, x),
+            _ => (Fx::ZERO, Fx::ZERO),
+        };
+        let w = plan.mem_weight(layer, lane, i, w);
+        let Some(nf) = plan.neuron_mut(layer, lane) else {
+            acc += w * x;
+            continue;
+        };
+        let w = nf.latch_filter(i, w);
+        let p = match nf.multiplier_mut(i) {
+            Some(hw) => hw.mul(w, x),
+            None => w * x,
+        };
+        acc = match nf.adder_mut(i) {
+            Some(hw) => hw.add(acc, p),
+            None => acc + p,
+        };
+    }
+    acc
+}
+
+fn dense_activation(
+    plan: &mut FaultPlan,
+    layer: Layer,
+    lane: usize,
+    acc: Fx,
+    lut: &SigmoidLut,
+) -> Fx {
+    match plan.neuron_mut(layer, lane) {
+        Some(nf) => nf.activation(acc, lut),
+        None => lut.eval(acc),
+    }
+}
+
+/// Reads every fault site, and the store, a few times through the public
+/// accessors. The results depend on how far each site's activation
+/// machine and memory effects have advanced, including sites whose
+/// output a forward pass never sees (a latch beyond the task width
+/// feeds a zero input).
+fn probe_state(plan: &mut FaultPlan, lut: &SigmoidLut) -> Vec<Fx> {
+    let words: Vec<Fx> = (0..8i16)
+        .map(|k| Fx::from_raw(0x1357i16.wrapping_mul(k).wrapping_sub(0x2468)))
+        .collect();
+    let mut out = Vec::new();
+    for site in plan.sites().to_vec() {
+        let nf = plan
+            .neuron_mut(site.layer, site.neuron)
+            .expect("sites name faulty neurons");
+        for (&a, &b) in words.iter().zip(words.iter().rev()) {
+            out.push(match (site.unit, site.synapse) {
+                (UnitKind::Latch, Some(i)) => nf.latch_filter(i, a),
+                (UnitKind::Multiplier, Some(i)) => nf.multiplier_mut(i).expect("site").mul(a, b),
+                (UnitKind::Adder, Some(i)) => nf.adder_mut(i).expect("site").add(a, b),
+                _ => nf.activation(a, lut),
+            });
+        }
+    }
+    for &w in &words {
+        out.push(plan.mem_weight(Layer::Hidden, 0, 0, w));
+    }
+    out
+}
+
+#[test]
+fn sparse_walk_equals_dense_reference() {
+    // Figure 10 geometry: 90 physical synapses per hidden neuron, task
+    // widths from one input to all 90, so most defects sit beyond the
+    // task at the narrow end. Every plan also carries output-layer
+    // adder defects, one at the last step and one beyond the hidden
+    // width, and the store (when attached) spans 90 slots in both banks.
+    let hw_inputs = 90;
+    let lut = SigmoidLut::new();
+    let (mut beyond, mut corrupted, mut with_store) = (0, 0, 0);
+    for (wi, width) in [1, 4, 13, 89, 90].into_iter().enumerate() {
+        let topo = Topology::new(width, 4, 3);
+        let rows: Vec<Vec<f64>> = (0..50)
+            .map(|r| {
+                (0..width)
+                    .map(|i| ((r * 7 + i * 5) % 19) as f64 / 9.5 - 1.0)
+                    .collect()
+            })
+            .collect();
+        for model in MODELS {
+            for (ai, activation) in ACTIVATIONS.into_iter().enumerate() {
+                for store in [false, true] {
+                    let seed = (wi * 100 + ai * 10) as u64 + u64::from(store);
+                    let ctx = format!("width={width} {model:?} {activation} store={store}");
+                    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                    let mut plan = FaultPlan::new(hw_inputs);
+                    for _ in 0..8 {
+                        plan.inject_random_hidden_with(topo.hidden, model, activation, &mut rng);
+                    }
+                    plan.inject_output_adder(0, topo.hidden - 1, &mut rng);
+                    plan.inject_output_adder(1, topo.hidden + 2, &mut rng);
+                    if store {
+                        let geom = MemGeometry {
+                            output_synapses: hw_inputs,
+                            ..MemGeometry::for_network(hw_inputs, topo.hidden, topo.outputs, false)
+                        };
+                        let mut mem = WeightMemory::new(geom);
+                        mem.inject_many(4, activation, &mut rng);
+                        plan.attach_memory(mem);
+                        with_store += 1;
+                    }
+                    beyond += plan
+                        .sites()
+                        .iter()
+                        .filter(|s| {
+                            s.layer == Layer::Hidden && s.synapse.is_some_and(|i| i >= width)
+                        })
+                        .count();
+                    let mlp = Mlp::new(topo, seed);
+                    plan.reset_state();
+                    let sparse: Vec<ForwardTrace> = rows
+                        .iter()
+                        .map(|x| mlp.forward_faulty(x, &lut, &mut plan))
+                        .collect();
+                    let sparse_state = probe_state(&mut plan, &lut);
+                    plan.reset_state();
+                    for (r, (x, got)) in rows.iter().zip(&sparse).enumerate() {
+                        let want = dense_forward(&mlp, x, &lut, &mut plan);
+                        assert_eq!(*got, want, "{ctx} row {r}");
+                        corrupted += usize::from(*got != mlp.forward_fixed(x, &lut));
+                    }
+                    assert_eq!(probe_state(&mut plan, &lut), sparse_state, "{ctx}");
+                }
+            }
+        }
+    }
+    // The sweep must reach defects beyond the task width, attach stores
+    // and disturb outputs, or it pins nothing.
+    assert!(
+        beyond > 0 && with_store > 0 && corrupted > 0,
+        "{beyond}/{with_store}/{corrupted}"
+    );
 }
