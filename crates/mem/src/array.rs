@@ -250,8 +250,14 @@ pub struct WeightMemory {
     spare_rows_used: usize,
     spare_cols_used: usize,
     ecc_counters: EccCounters,
-    /// Scratch activation mask, one slot per defect, reused per access.
+    /// Activation mask, one slot per defect: permanent slots stay `true`,
+    /// dynamic slots are refreshed on every access.
     active: Vec<bool>,
+    /// Indices of the dynamic (transient/intermittent) defects, ascending.
+    dynamic: Vec<usize>,
+    /// Which defects can touch each word; rebuilt lazily after injection
+    /// or column steering.
+    index: WordIndex,
     /// Chaos hook: milliseconds each March BIST element walk stalls
     /// (a model of pathologically slow silicon; `None` in production).
     chaos_stall_ms: Option<u64>,
@@ -271,6 +277,8 @@ impl WeightMemory {
             spare_cols_used: 0,
             ecc_counters: EccCounters::default(),
             active: Vec::new(),
+            dynamic: Vec::new(),
+            index: WordIndex::default(),
             chaos_stall_ms: None,
         }
     }
@@ -328,7 +336,7 @@ impl WeightMemory {
     /// of the address and written word and the 64-lane batch path stays
     /// bit-identical to scalar evaluation order.
     pub fn vectorizable(&self) -> bool {
-        self.defects.iter().all(|d| d.state.is_none())
+        self.dynamic.is_empty()
     }
 
     /// Power-on reset: clear every cell, rewind dynamic defect state and
@@ -400,8 +408,7 @@ impl WeightMemory {
             Some(ActivationState::new(activation, rng.random::<u64>()))
         };
         let record = format!("mem {defect}: {activation}");
-        self.records.push(record.clone());
-        self.defects.push(MemDefectState { defect, state });
+        self.add_defect(record.clone(), defect, state);
         record
     }
 
@@ -414,8 +421,17 @@ impl WeightMemory {
             None => "permanent".to_string(),
             Some(_) => "dynamic".to_string(),
         };
-        self.records.push(format!("mem {defect}: {lifetime}"));
+        self.add_defect(format!("mem {defect}: {lifetime}"), defect, state);
+    }
+
+    fn add_defect(&mut self, record: String, defect: MemDefect, state: Option<ActivationState>) {
+        if state.is_some() {
+            self.dynamic.push(self.defects.len());
+        }
+        self.records.push(record);
         self.defects.push(MemDefectState { defect, state });
+        self.active.push(true);
+        self.index.invalidate();
     }
 
     /// Inject `n` random defects; returns their record lines.
@@ -450,21 +466,16 @@ impl WeightMemory {
         self.cells[prow * self.geom.total_cols() + pcol]
     }
 
-    fn set_cell(&mut self, prow: usize, pcol: usize, v: bool) {
-        let idx = prow * self.geom.total_cols() + pcol;
-        self.cells[idx] = v;
-    }
-
-    /// Advance every dynamic defect by one access and refresh the
-    /// activation scratch mask (permanent defects are always active).
+    /// Begin one access: rebuild the word index if injection or column
+    /// steering left it stale, then advance every dynamic defect and
+    /// refresh its activation slot (permanent slots stay `true`).
     fn advance_access(&mut self) {
-        self.active.clear();
-        let active = &mut self.active;
-        for d in &mut self.defects {
-            active.push(match &mut d.state {
-                None => true,
-                Some(state) => state.advance(),
-            });
+        if self.index.is_stale() {
+            self.index = WordIndex::build(&self.geom, &self.col_map, &self.defects);
+        }
+        for &i in &self.dynamic {
+            let state = self.defects[i].state.as_mut();
+            self.active[i] = state.expect("dynamic defects carry a state").advance();
         }
     }
 
@@ -472,10 +483,13 @@ impl WeightMemory {
     /// the bit, stuck cells ignore it).
     fn write_word_phys(&mut self, prow: usize, slot: usize, bits: u32) {
         let code = self.geom.code_bits();
+        let row_base = prow * self.geom.total_cols();
+        let list = self.index.word(prow * self.geom.words_per_row() + slot);
         for b in 0..code {
             let pcol = self.col_map[slot * code + b];
             let mut v = bits >> b & 1 == 1;
-            for i in 0..self.defects.len() {
+            for &i in list {
+                let i = i as usize;
                 if !self.active[i] {
                     continue;
                 }
@@ -487,7 +501,7 @@ impl WeightMemory {
                     _ => {}
                 }
             }
-            self.set_cell(prow, pcol, v);
+            self.cells[row_base + pcol] = v;
         }
     }
 
@@ -495,15 +509,19 @@ impl WeightMemory {
     /// then bitline (column stuck), wordline (row stuck), sense amp.
     fn read_word_phys(&self, prow: usize, slot: usize) -> u32 {
         let code = self.geom.code_bits();
+        let list = self.index.word(prow * self.geom.words_per_row() + slot);
+        let live = || {
+            list.iter()
+                .map(|&i| i as usize)
+                .filter(|&i| self.active[i])
+                .map(|i| &self.defects[i].defect)
+        };
         let mut bits = 0u32;
         for b in 0..code {
             let pcol = self.col_map[slot * code + b];
             let mut v = self.cell(prow, pcol);
-            for (i, d) in self.defects.iter().enumerate() {
-                if !self.active[i] {
-                    continue;
-                }
-                match d.defect {
+            for d in live() {
+                match *d {
                     MemDefect::StuckCell { row, col, value } if row == prow && col == pcol => {
                         v = value
                     }
@@ -512,29 +530,20 @@ impl WeightMemory {
                     _ => {}
                 }
             }
-            for (i, d) in self.defects.iter().enumerate() {
-                if !self.active[i] {
-                    continue;
-                }
-                match d.defect {
+            for d in live() {
+                match *d {
                     MemDefect::ColStuck { col, value } if col == pcol => v = value,
                     _ => {}
                 }
             }
-            for (i, d) in self.defects.iter().enumerate() {
-                if !self.active[i] {
-                    continue;
-                }
-                match d.defect {
+            for d in live() {
+                match *d {
                     MemDefect::RowStuck { row } if row == prow => v = true,
                     _ => {}
                 }
             }
-            for (i, d) in self.defects.iter().enumerate() {
-                if !self.active[i] {
-                    continue;
-                }
-                match d.defect {
+            for d in live() {
+                match *d {
                     MemDefect::SenseAmp { col } if col == pcol => v = !v,
                     _ => {}
                 }
@@ -687,6 +696,101 @@ impl WeightMemory {
         self.col_map[col] = self.geom.data_cols() + self.spare_cols_used;
         self.spare_cols_used += 1;
         self.cells.fill(false);
+        self.index.invalidate();
         Ok(())
+    }
+}
+
+/// Per-word defect index: a flat CSR table over `(physical row, logical
+/// slot)` words. The list of word `w` is `defects[offsets[w]..offsets[w +
+/// 1]]`: every defect that can touch one of the word's physical cells, in
+/// ascending injection order. It is a superset of the defects that do
+/// touch a given bit, and the fault pipeline filters it with the same
+/// match arms as a scan over all defects, so walking it is exact. Keyed by
+/// physical row, it survives row steering; injection and column steering
+/// invalidate it. An empty `offsets` marks it stale.
+#[derive(Clone, Debug, Default)]
+struct WordIndex {
+    offsets: Vec<u32>,
+    defects: Vec<u32>,
+}
+
+impl WordIndex {
+    fn is_stale(&self) -> bool {
+        self.offsets.is_empty()
+    }
+
+    fn invalidate(&mut self) {
+        self.offsets.clear();
+        self.defects.clear();
+    }
+
+    /// Defect indices that can touch word `w` (`prow * words_per_row +
+    /// slot`).
+    fn word(&self, w: usize) -> &[u32] {
+        &self.defects[self.offsets[w] as usize..self.offsets[w + 1] as usize]
+    }
+
+    /// Invert `col_map` and take one counting pass and one filling pass
+    /// over the defects.
+    fn build(geom: &MemGeometry, col_map: &[usize], defects: &[MemDefectState]) -> WordIndex {
+        let code = geom.code_bits();
+        let rows = geom.total_rows();
+        let slots = geom.words_per_row();
+        // Physical column → logical slot; steered-out columns hold none.
+        let mut slot_of = vec![None; geom.total_cols()];
+        for (lcol, &pcol) in col_map.iter().enumerate() {
+            slot_of[pcol] = Some(lcol / code);
+        }
+        let slot = |pcol: usize| slot_of.get(pcol).copied().flatten();
+        // Visit each word a defect can touch, once.
+        let column = |s: usize, visit: &mut dyn FnMut(usize)| {
+            (0..rows).for_each(|r| visit(r * slots + s));
+        };
+        let words_of = |d: &MemDefect, visit: &mut dyn FnMut(usize)| match *d {
+            MemDefect::StuckCell { row, col, .. } => {
+                if let Some(s) = slot(col).filter(|_| row < rows) {
+                    visit(row * slots + s);
+                }
+            }
+            MemDefect::RowStuck { row } => {
+                if row < rows {
+                    (0..slots).for_each(|s| visit(row * slots + s));
+                }
+            }
+            MemDefect::ColStuck { col, .. }
+            | MemDefect::SenseAmp { col }
+            | MemDefect::WriteDriver { col } => {
+                if let Some(s) = slot(col) {
+                    column(s, visit);
+                }
+            }
+            MemDefect::Bridge { col } => {
+                let (left, right) = (slot(col), slot(col + 1));
+                for s in left.into_iter().chain(right.filter(|&r| Some(r) != left)) {
+                    column(s, visit);
+                }
+            }
+        };
+        let mut offsets = vec![0u32; rows * slots + 1];
+        for d in defects {
+            words_of(&d.defect, &mut |w| offsets[w + 1] += 1);
+        }
+        for w in 0..rows * slots {
+            offsets[w + 1] += offsets[w];
+        }
+        let mut fill: Vec<u32> = offsets[..rows * slots].to_vec();
+        let mut list = vec![0u32; offsets[rows * slots] as usize];
+        for (i, d) in defects.iter().enumerate() {
+            let i = u32::try_from(i).expect("defect count fits in u32");
+            words_of(&d.defect, &mut |w| {
+                list[fill[w] as usize] = i;
+                fill[w] += 1;
+            });
+        }
+        WordIndex {
+            offsets,
+            defects: list,
+        }
     }
 }

@@ -212,6 +212,69 @@ mod tests {
         assert_eq!(first, second, "reset_state must rewind the fault sequence");
     }
 
+    /// Every word of every lane fetched with two patterns.
+    fn sweep(mem: &mut WeightMemory) -> Vec<u16> {
+        let g = mem.geometry();
+        let mut out = Vec::new();
+        for (bank, lanes) in [(Bank::Hidden, g.hidden_rows), (Bank::Output, g.output_rows)] {
+            for lane in 0..lanes {
+                for slot in 0..g.words_per_row() {
+                    for raw in [0x0000u16, 0xA5A5] {
+                        out.push(mem.fetch(bank, lane, slot, Fx::from_bits(raw)).to_bits());
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn word_index_survives_clone() {
+        let geom = small_geom(false);
+        let fresh = |n: usize| {
+            let mut mem = WeightMemory::new(geom);
+            let mut rng = ChaCha8Rng::seed_from_u64(11);
+            mem.inject_many(n, Activation::Permanent, &mut rng);
+            mem
+        };
+        let mut original = WeightMemory::new(geom);
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        original.inject_many(12, Activation::Permanent, &mut rng);
+        sweep(&mut original); // builds the index before the clone
+        let mut copy = original.clone();
+        original.inject_many(12, Activation::Permanent, &mut rng);
+        let (copy_words, original_words) = (sweep(&mut copy), sweep(&mut original));
+        assert_eq!(
+            copy_words,
+            sweep(&mut fresh(12)),
+            "the clone kept its index"
+        );
+        assert_eq!(
+            original_words,
+            sweep(&mut fresh(24)),
+            "injection rebuilt it"
+        );
+        assert_ne!(copy_words, original_words, "the extra defects must show");
+    }
+
+    #[test]
+    fn first_dynamic_defect_disqualifies_vectorization() {
+        let mut mem = WeightMemory::new(small_geom(true));
+        mem.push_defect(MemDefect::RowStuck { row: 1 }, None);
+        assert!(mem.vectorizable());
+        let transient = Activation::Transient {
+            per_eval_probability: 0.5,
+        };
+        mem.push_defect(
+            MemDefect::SenseAmp { col: 3 },
+            Some(ActivationState::new(transient, 9)),
+        );
+        assert!(!mem.vectorizable());
+        mem.fetch(Bank::Hidden, 0, 0, Fx::from_bits(0x0400));
+        mem.reset_state();
+        assert!(!mem.vectorizable(), "reset rewinds state, not lifetimes");
+    }
+
     #[test]
     fn density_injection_rounds_to_cell_count() {
         let geom = MemGeometry::accelerator();
