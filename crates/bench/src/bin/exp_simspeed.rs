@@ -9,6 +9,10 @@
 //!   to [`dta_logic::SettleMode::Full`]);
 //! * `event` — differential settle: only gates whose inputs changed
 //!   are re-evaluated, seeded from the per-gate fan-out lists;
+//! * `fanin` — the scalar operator entry point: only the transitive
+//!   fan-in of the faulty gates settles, and the native product stands
+//!   in unless a faulty gate deviates from its healthy function
+//!   ([`dta_logic::Simulator::settle_or_mask`]);
 //! * `cone` — cone-of-influence pruning: a healthy 64-lane twin
 //!   settles 64 rows per pass and only the union fan-out cone of the
 //!   faulty gates is gate-simulated per row;
@@ -61,7 +65,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// The single-operator strategies, slowest to fastest.
-const STRATEGIES: [&str; 5] = ["switch", "compiled", "event", "cone", "lut"];
+const STRATEGIES: [&str; 6] = ["switch", "compiled", "event", "fanin", "cone", "lut"];
 
 /// One measured strategy: name, throughput, and the products it
 /// computed (for the cross-strategy identity check).
@@ -187,6 +191,22 @@ fn main() {
                 });
                 ms.push(Measurement {
                     name: "event",
+                    evals_per_s,
+                    out,
+                });
+            }
+
+            {
+                let mut sim = mul.simulator();
+                build_plan(&mul, n, activation, seed).apply(&mut sim);
+                let (evals_per_s, out) = time_run(rows, || {
+                    a.iter()
+                        .zip(&b)
+                        .map(|(&x, &w)| mul.compute_or_mask(&mut sim, x, w).unwrap_or(x * w))
+                        .collect()
+                });
+                ms.push(Measurement {
+                    name: "fanin",
                     evals_per_s,
                     out,
                 });

@@ -185,6 +185,13 @@ macro_rules! hw_operator {
                 self.plan.len()
             }
 
+            /// Scalar evaluations that settled only the defects' fan-in,
+            /// by outcome: `(masked, excited)` — see
+            /// [`dta_logic::Simulator::fanin_settles`].
+            pub fn fanin_settles(&self) -> (u64, u64) {
+                self.sim.fanin_settles()
+            }
+
             /// The shared circuit.
             pub fn circuit(&self) -> &Arc<$circuit> {
                 &self.circuit
@@ -227,13 +234,16 @@ hw_operator!(
 
 impl HwAdder {
     /// Computes the (possibly faulty) saturating sum. Healthy operators
-    /// skip gate simulation entirely: the circuit is bit-exact with the
-    /// native saturating Q6.10 add.
+    /// skip gate simulation entirely, and a faulty one settles only the
+    /// defects' fan-in unless a defect is excited: the healthy circuit is
+    /// bit-exact with the native saturating Q6.10 add.
     pub fn add(&mut self, a: Fx, b: Fx) -> Fx {
         if self.plan.is_empty() {
             return a + b;
         }
-        self.circuit.compute(&mut self.sim, a, b)
+        self.circuit
+            .compute_or_mask(&mut self.sim, a, b)
+            .unwrap_or(a + b)
     }
 
     /// Computes a whole batch of sums on the rung the plan lowers to
@@ -276,13 +286,17 @@ hw_operator!(
 
 impl HwMultiplier {
     /// Computes the (possibly faulty) product. Healthy operators skip
-    /// gate simulation entirely: the circuit is bit-exact with the
-    /// native truncating, saturating Q6.10 multiply.
+    /// gate simulation entirely, and a faulty one settles only the
+    /// defects' fan-in unless a defect is excited: the healthy circuit
+    /// is bit-exact with the native truncating, saturating Q6.10
+    /// multiply.
     pub fn mul(&mut self, a: Fx, b: Fx) -> Fx {
         if self.plan.is_empty() {
             return a * b;
         }
-        self.circuit.compute(&mut self.sim, a, b)
+        self.circuit
+            .compute_or_mask(&mut self.sim, a, b)
+            .unwrap_or(a * b)
     }
 
     /// Computes a whole batch of products on the rung the plan lowers
@@ -325,13 +339,16 @@ hw_operator!(
 
 impl HwSigmoid {
     /// Computes the (possibly faulty) activation. Healthy operators
-    /// skip gate simulation entirely: the circuit is bit-exact with the
-    /// native 16-segment [`SigmoidLut`].
+    /// skip gate simulation entirely, and a faulty one settles only the
+    /// defects' fan-in unless a defect is excited: the healthy circuit
+    /// is bit-exact with the native 16-segment [`SigmoidLut`].
     pub fn eval(&mut self, x: Fx) -> Fx {
         if self.plan.is_empty() {
             return sigmoid_lut().eval(x);
         }
-        self.circuit.compute(&mut self.sim, x)
+        self.circuit
+            .compute_or_mask(&mut self.sim, x)
+            .unwrap_or_else(|| sigmoid_lut().eval(x))
     }
 
     /// Computes a whole batch of activations on the rung the plan

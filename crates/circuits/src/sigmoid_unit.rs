@@ -254,6 +254,16 @@ impl SigmoidUnitCircuit {
         Fx::from_bits(sim.read_word(&self.out) as u16)
     }
 
+    /// Like `compute`, but settles through
+    /// [`Simulator::settle_or_mask`]: `None` when no overridden cell
+    /// deviated from its healthy function, so the activation equals the
+    /// healthy circuit's.
+    pub fn compute_or_mask(&self, sim: &mut Simulator, x: Fx) -> Option<Fx> {
+        sim.set_input_word(&self.x, x.to_bits() as u64);
+        sim.settle_or_mask()
+            .then(|| Fx::from_bits(sim.read_word(&self.out) as u16))
+    }
+
     /// Creates a fresh healthy 64-lane simulator for this circuit (the
     /// healthy twin of the cone-pruned batch path).
     pub fn simulator64(&self) -> Simulator64 {

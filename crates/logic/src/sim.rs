@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use crate::gate::{GateBehavior, GateKind};
-use crate::netlist::{ConeClosure, Netlist, Node, NodeId};
+use crate::netlist::{ConeClosure, Netlist, Node, NodeId, SchedGate};
 use crate::sim64::{eval_kind64, Simulator64};
 
 /// How [`Simulator::settle`] (and [`Simulator64::settle`]) propagates.
@@ -71,6 +71,66 @@ fn eval_pins(kind: GateKind, values: &[bool], pins: &[u32]) -> bool {
     }
 }
 
+/// Evaluates one scheduled gate: its override when one is installed
+/// (one advance of the behavior's state), the healthy cell otherwise.
+/// Every settle sweep goes through here.
+#[inline(always)]
+fn eval_gate(
+    g: &SchedGate,
+    pins: &[u32],
+    values: &[bool],
+    overrides: &mut [Option<Box<dyn GateBehavior>>],
+) -> bool {
+    let p = &pins[g.in_start as usize..][..g.in_len as usize];
+    match overrides[g.out as usize].as_mut() {
+        Some(behavior) => {
+            let mut buf = [false; MAX_ARITY];
+            for (k, &i) in p.iter().enumerate() {
+                buf[k] = values[i as usize];
+            }
+            behavior.eval(&buf[..p.len()])
+        }
+        None => eval_pins(g.kind, values, p),
+    }
+}
+
+/// The transitive fan-in of the overridden gates (the gates themselves
+/// included), as [`Simulator::settle_or_mask`] settles it. Fan-in values
+/// depend on nothing outside it, so it settles alone; the rest of the
+/// schedule holds no overridden gate.
+#[derive(Debug)]
+struct FaninPlan {
+    /// Fan-in schedule positions, ascending (topological).
+    fanin: Vec<u32>,
+    /// Per-schedule-position fan-in membership.
+    in_fanin: Vec<bool>,
+}
+
+impl FaninPlan {
+    fn build(net: &Netlist, override_sched: &[u32]) -> FaninPlan {
+        let (sched, pins) = net.schedule();
+        let mut in_fanin = vec![false; sched.len()];
+        let mut stack: Vec<u32> = override_sched.to_vec();
+        for &pos in override_sched {
+            in_fanin[pos as usize] = true;
+        }
+        while let Some(pos) = stack.pop() {
+            let g = &sched[pos as usize];
+            for &pin in &pins[g.in_start as usize..][..g.in_len as usize] {
+                let producer = net.sched_index(pin);
+                if producer != u32::MAX && !in_fanin[producer as usize] {
+                    in_fanin[producer as usize] = true;
+                    stack.push(producer);
+                }
+            }
+        }
+        let fanin = (0..sched.len() as u32)
+            .filter(|&pos| in_fanin[pos as usize])
+            .collect();
+        FaninPlan { fanin, in_fanin }
+    }
+}
+
 /// Evaluates a [`Netlist`]: settles combinational logic, steps latches,
 /// and applies per-gate behavioral overrides (the fault-injection hook).
 ///
@@ -123,9 +183,18 @@ pub struct Simulator {
     /// When set, the next settle re-evaluates every gate (initial state,
     /// or values were bypassed by a cone batch).
     all_dirty: bool,
+    /// Set when [`Simulator::settle_or_mask`] settled only the fan-in of
+    /// the overridden gates: the rest of the circuit holds stale values
+    /// until a settle sweeps it.
+    rest_stale: bool,
     /// Schedule positions of the overridden gates, ascending.
     override_sched: Vec<u32>,
     cone: Option<ConePlan>,
+    /// The fan-in split of the current override set, built on first use.
+    fanin: Option<FaninPlan>,
+    /// [`Simulator::settle_or_mask`] calls that settled the fan-in, by
+    /// outcome: `(masked, excited)`.
+    fanin_settles: (u64, u64),
 }
 
 impl Simulator {
@@ -152,8 +221,11 @@ impl Simulator {
             dirty_hi: 0,
             n_dirty: 0,
             all_dirty: true,
+            rest_stale: false,
             override_sched: Vec::new(),
             cone: None,
+            fanin: None,
+            fanin_settles: (0, 0),
         }
     }
 
@@ -257,33 +329,31 @@ impl Simulator {
                 values[g.out as usize] = eval_pins(g.kind, values, p);
             }
         } else {
-            let overrides = &mut self.overrides;
             for g in sched {
-                let p = &pins[g.in_start as usize..][..g.in_len as usize];
-                let v = match overrides[g.out as usize].as_mut() {
-                    Some(behavior) => {
-                        let mut buf = [false; MAX_ARITY];
-                        for (k, &i) in p.iter().enumerate() {
-                            buf[k] = values[i as usize];
-                        }
-                        behavior.eval(&buf[..p.len()])
-                    }
-                    None => eval_pins(g.kind, values, p),
-                };
-                values[g.out as usize] = v;
+                values[g.out as usize] = eval_gate(g, pins, values, &mut self.overrides);
             }
         }
         // A full sweep leaves everything settled: drop any pending
         // incremental work so the two paths stay interchangeable.
         self.all_dirty = false;
+        self.rest_stale = false;
+        self.clear_dirty();
+    }
+
+    /// Empties the dirty bookkeeping.
+    fn clear_dirty(&mut self) {
         if self.dirty_lo <= self.dirty_hi {
-            for pos in self.dirty_lo..=self.dirty_hi {
-                self.dirty[pos as usize] = false;
-            }
+            self.dirty[self.dirty_lo as usize..=self.dirty_hi as usize].fill(false);
         }
         self.dirty_lo = u32::MAX;
         self.dirty_hi = 0;
         self.n_dirty = 0;
+    }
+
+    /// True when at least ~1/64 of the schedule is dirty, the share at
+    /// which event-driven propagation stops paying for its bookkeeping.
+    fn dirt_is_dense(&self) -> bool {
+        self.n_dirty as usize * 64 >= self.dirty.len()
     }
 
     /// Event-driven settle: sweeps the dirty range of the schedule in
@@ -300,9 +370,19 @@ impl Simulator {
     /// near-full work and the compiled sweep does it without the
     /// change-tracking overhead. Bit-identical either way.
     fn settle_event(&mut self) {
-        if self.all_dirty || self.n_dirty as usize * 64 >= self.dirty.len() {
+        if self.all_dirty || self.rest_stale || self.dirt_is_dense() {
             return self.settle_full();
         }
+        self.sweep_dirty(|_| true);
+    }
+
+    /// The event-driven sweep behind [`Simulator::settle_event`]: walks
+    /// the dirty range, widened to the overridden gates, in topological
+    /// order; evaluates each dirty position and each overridden gate
+    /// exactly once; marks the consumers of every changed output.
+    /// Positions for which `keep` is false are neither evaluated nor
+    /// marked. Leaves the dirty bookkeeping empty.
+    fn sweep_dirty(&mut self, keep: impl Fn(u32) -> bool) {
         let net = Arc::clone(&self.net);
         let (sched, pins) = net.schedule();
         let mut lo = self.dirty_lo;
@@ -326,27 +406,17 @@ impl Simulator {
             if forced {
                 next_ov += 1;
             }
-            if !dirty[pos as usize] && !forced {
+            if !(forced || dirty[pos as usize] && keep(pos)) {
                 pos += 1;
                 continue;
             }
             dirty[pos as usize] = false;
             let g = &sched[pos as usize];
-            let p = &pins[g.in_start as usize..][..g.in_len as usize];
-            let v = match overrides[g.out as usize].as_mut() {
-                Some(behavior) => {
-                    let mut buf = [false; MAX_ARITY];
-                    for (k, &i) in p.iter().enumerate() {
-                        buf[k] = values[i as usize];
-                    }
-                    behavior.eval(&buf[..p.len()])
-                }
-                None => eval_pins(g.kind, values, p),
-            };
+            let v = eval_gate(g, pins, values, overrides);
             if v != values[g.out as usize] {
                 values[g.out as usize] = v;
                 for &t in net.fanout_of(g.out) {
-                    if !dirty[t as usize] {
+                    if !dirty[t as usize] && keep(t) {
                         dirty[t as usize] = true;
                         hi = hi.max(t);
                     }
@@ -354,9 +424,93 @@ impl Simulator {
             }
             pos += 1;
         }
-        self.dirty_lo = u32::MAX;
-        self.dirty_hi = 0;
-        self.n_dirty = 0;
+        // Propagation marked only kept positions, and the sweep cleaned
+        // those; skipped ones lie in the range seeded before it.
+        self.clear_dirty();
+    }
+
+    /// Settles only as much of the circuit as a faulty result needs, and
+    /// reports whether that result can differ from the healthy circuit's.
+    ///
+    /// Settles the transitive fan-in of the overridden gates, evaluating
+    /// each overridden gate exactly once, then compares every overridden
+    /// gate's output with its healthy cell function on its settled pins:
+    ///
+    /// * some gate deviates — the rest of the circuit is swept too, and
+    ///   the call returns `true` with every node settled;
+    /// * none deviates — every node would equal the healthy circuit's
+    ///   value, so the rest is left stale (the next [`Simulator::settle`]
+    ///   or [`Simulator::settle_full`] sweeps it) and the call returns
+    ///   `false`. Only fan-in nodes may be read until then.
+    ///
+    /// Behaviors see exactly the evaluations [`Simulator::settle`] would
+    /// give them, so stateful and dynamic faults stay on the same
+    /// sequence. Plain [`Simulator::settle`] runs instead, returning
+    /// `true`, with no override, on a netlist with latches, in
+    /// [`SettleMode::Full`], and when the rest is settled and few gates
+    /// are dirty (an event-driven settle is cheaper there).
+    pub fn settle_or_mask(&mut self) -> bool {
+        let rest_settled = !self.all_dirty && !self.rest_stale;
+        if self.n_overrides == 0
+            || self.mode == SettleMode::Full
+            || !self.net.latches().is_empty()
+            || (rest_settled && !self.dirt_is_dense())
+        {
+            self.settle();
+            return true;
+        }
+        let plan = self
+            .fanin
+            .take()
+            .unwrap_or_else(|| FaninPlan::build(&self.net, &self.override_sched));
+        if self.all_dirty || self.dirt_is_dense() {
+            let net = Arc::clone(&self.net);
+            let (sched, pins) = net.schedule();
+            for &pos in &plan.fanin {
+                let g = &sched[pos as usize];
+                self.values[g.out as usize] = eval_gate(g, pins, &self.values, &mut self.overrides);
+            }
+            self.clear_dirty();
+        } else {
+            self.sweep_dirty(|pos| plan.in_fanin[pos as usize]);
+        }
+        self.all_dirty = false;
+        let excited = self.override_deviates();
+        if excited {
+            let net = Arc::clone(&self.net);
+            let (sched, pins) = net.schedule();
+            for (g, &inside) in sched.iter().zip(&plan.in_fanin) {
+                if !inside {
+                    let p = &pins[g.in_start as usize..][..g.in_len as usize];
+                    self.values[g.out as usize] = eval_pins(g.kind, &self.values, p);
+                }
+            }
+            self.fanin_settles.1 += 1;
+        } else {
+            self.fanin_settles.0 += 1;
+        }
+        self.rest_stale = !excited;
+        self.fanin = Some(plan);
+        excited
+    }
+
+    /// How many [`Simulator::settle_or_mask`] calls settled the fan-in
+    /// and found no overridden gate deviating (first) or found one and
+    /// swept the rest (second). Calls that ran a plain settle count in
+    /// neither.
+    pub fn fanin_settles(&self) -> (u64, u64) {
+        self.fanin_settles
+    }
+
+    /// True when some overridden gate's settled output differs from its
+    /// healthy cell function on its settled pins.
+    fn override_deviates(&self) -> bool {
+        let (sched, pins) = self.net.schedule();
+        self.override_sched.iter().any(|&pos| {
+            let g = &sched[pos as usize];
+            let p = &pins[g.in_start as usize..][..g.in_len as usize];
+            self.values[g.out as usize] != eval_pins(g.kind, &self.values, p)
+        })
     }
 
     /// Captures each latch's data input into its stored value. Call after
@@ -415,7 +569,7 @@ impl Simulator {
             let at = self.override_sched.partition_point(|&p| p < pos);
             self.override_sched.insert(at, pos);
         }
-        self.cone = None;
+        self.drop_fanin();
         if self.tracking_changes() {
             self.mark_pos(pos);
         }
@@ -429,13 +583,24 @@ impl Simulator {
             self.n_overrides -= 1;
             let pos = self.net.sched_index(id.0);
             self.override_sched.retain(|&p| p != pos);
-            self.cone = None;
+            self.drop_fanin();
             // The gate's function changed back: re-evaluate it once.
             if self.tracking_changes() {
                 self.mark_pos(pos);
             }
         }
         prev
+    }
+
+    /// Forgets the plans built for the previous override set. A stale
+    /// rest may now feed the new fan-in, so the next settle starts over.
+    fn drop_fanin(&mut self) {
+        self.cone = None;
+        self.fanin = None;
+        if self.rest_stale {
+            self.rest_stale = false;
+            self.all_dirty = true;
+        }
     }
 
     /// Number of gates currently overridden.

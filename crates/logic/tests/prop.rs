@@ -280,6 +280,70 @@ proptest! {
         }
     }
 
+    /// `settle_or_mask` against a full sweep: when it completes, every
+    /// node matches; when it masks, the full sweep equals the healthy
+    /// circuit everywhere. Plain settles in between must still see a
+    /// settled circuit, also after the override set changes while the
+    /// rest is stale.
+    #[test]
+    fn settle_or_mask_matches_full_settle(
+        n_inputs in 1usize..6,
+        // A dirty gate is sparse only past 64 gates, and a defect swap
+        // dirties two: large netlists reach the event-driven paths.
+        recipes in prop::collection::vec(recipe_strategy(), 1..400),
+        fault_sels in prop::collection::vec((any::<u16>(), 1u32..5), 1..4),
+        stimulus in prop::collection::vec((any::<u8>(), any::<bool>(), any::<bool>()), 1..24),
+    ) {
+        let (net, inputs, gates, _) = build_with_gates(n_inputs, &recipes);
+        let mut fanin = Simulator::new(net.clone());
+        let mut full = Simulator::new(net.clone());
+        full.set_settle_mode(SettleMode::Full);
+        let mut healthy = Simulator::new(net.clone());
+        let mut faulty = Vec::new();
+        for &(sel, period) in &fault_sels {
+            let g = gates[sel as usize % gates.len()];
+            fanin.override_gate(g, Box::new(PeriodicFlip { n: 0, period }));
+            full.override_gate(g, Box::new(PeriodicFlip { n: 0, period }));
+            faulty.push(g);
+        }
+        let mut w = 0u64;
+        for (step, &(word, repeat, plain)) in stimulus.iter().enumerate() {
+            // Repeated words leave nothing dirty: the event-driven paths.
+            if !repeat {
+                w = word as u64;
+            }
+            fanin.set_input_word(&inputs, w);
+            full.set_input_word(&inputs, w);
+            full.settle();
+            let settled = if plain {
+                fanin.settle();
+                true
+            } else {
+                fanin.settle_or_mask()
+            };
+            healthy.set_input_word(&inputs, w);
+            healthy.settle();
+            for &id in &gates {
+                if settled {
+                    prop_assert_eq!(fanin.value(id), full.value(id), "node {:?} at step {}", id, step);
+                } else {
+                    prop_assert_eq!(full.value(id), healthy.value(id), "masked step {}", step);
+                }
+            }
+            // Every fourth step, swap one defect for a new one: the new
+            // fan-in may reach nodes a masked settle left stale.
+            if step % 4 == 3 {
+                let g = faulty.remove(0);
+                fanin.clear_override(g);
+                full.clear_override(g);
+                let g = gates[word as usize % gates.len()];
+                fanin.override_gate(g, Box::new(PeriodicFlip { n: 0, period: 2 }));
+                full.override_gate(g, Box::new(PeriodicFlip { n: 0, period: 2 }));
+                faulty.push(g);
+            }
+        }
+    }
+
     /// Same invariant through latches: `tick` and `reset_state` must
     /// keep the incremental bookkeeping consistent across clock cycles.
     #[test]

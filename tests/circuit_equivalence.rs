@@ -1,15 +1,29 @@
 //! Cross-crate equivalence: the behavioral Q6.10 datapath, the
 //! gate-level circuits, and the switch-level CMOS cells must all agree
 //! when healthy — the foundation that makes defect injection meaningful.
+//!
+//! A faulty operator returns native arithmetic whenever no defect is
+//! excited, so the healthy circuits must equal native arithmetic on
+//! every input, not only on sampled ones. The sigmoid unit is checked
+//! exhaustively here; the two exhaustive datapath sweeps take a release
+//! build and run as ignored tests:
+//!
+//! ```sh
+//! cargo test --release --test circuit_equivalence -- --ignored
+//! ```
 
 use dta::ann::{FaultPlan, Mlp, Topology};
-use dta::circuits::{HwAdder, HwMultiplier, HwSigmoid};
+use dta::circuits::{
+    FxMulCircuit, HwAdder, HwMultiplier, HwSigmoid, SatAdderCircuit, SigmoidUnitCircuit,
+};
 use dta::fixed::{Fx, SigmoidLut};
-use dta::logic::GateKind;
+use dta::logic::{GateKind, LutExec, NodeId};
 use dta::transistor::reconstruct::ExprCellEvaluator;
 use dta::transistor::{CmosCell, FaultyCell};
 use dta_logic::gate::GateBehavior;
 use proptest::prelude::*;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
 fn any_fx() -> impl Strategy<Value = Fx> {
     any::<i16>().prop_map(Fx::from_raw)
@@ -85,6 +99,99 @@ fn reconstruction_equals_switch_level_for_every_single_defect() {
                     "{kind} with {defect:?} at {v:?}"
                 );
             }
+        }
+    }
+}
+
+/// Drives a two-operand circuit's LUT stream with one `a` in every lane
+/// and 64 `b` operands, and asserts each lane's output equals `native`.
+fn assert_lanes(
+    ex: &mut LutExec,
+    buses: [&[NodeId]; 3],
+    a: Fx,
+    bs: &[Fx; 64],
+    native: impl Fn(Fx, Fx) -> Fx,
+) {
+    let [a_bus, b_bus, out_bus] = buses;
+    for (bit, &id) in a_bus.iter().enumerate() {
+        ex.set_input_lanes(id, if a.to_bits() >> bit & 1 == 1 { !0 } else { 0 });
+    }
+    let words: Vec<u64> = bs.iter().map(|b| u64::from(b.to_bits())).collect();
+    ex.set_input_words(b_bus, &words);
+    ex.exec();
+    let native_bits = bs.map(|b| native(a, b).to_bits());
+    for (bit, &id) in out_bus.iter().enumerate() {
+        let want = native_bits
+            .iter()
+            .enumerate()
+            .fold(0u64, |acc, (l, &w)| acc | u64::from(w >> bit & 1) << l);
+        let got = ex.lanes(id);
+        if got != want {
+            let lane = (got ^ want).trailing_zeros() as usize;
+            panic!("{a:?} op {:?}: output bit {bit} differs", bs[lane]);
+        }
+    }
+}
+
+#[test]
+fn healthy_sigmoid_unit_equals_lut_on_every_input() {
+    let unit = SigmoidUnitCircuit::new();
+    let mut ex = unit.lut_exec();
+    let lut = SigmoidLut::new();
+    let xs: Vec<Fx> = (i16::MIN..=i16::MAX).map(Fx::from_raw).collect();
+    let ys = unit.compute_lut(&mut ex, &xs);
+    for (&x, &y) in xs.iter().zip(&ys) {
+        assert_eq!(y, lut.eval(x), "sigmoid unit at {x:?}");
+    }
+}
+
+#[test]
+#[ignore = "2^32 operand pairs: run with --release -- --ignored"]
+fn healthy_adder_equals_fx_on_every_pair() {
+    let adder = SatAdderCircuit::new();
+    let mut ex = adder.lut_exec();
+    let buses = [adder.a_bus(), adder.b_bus(), adder.out_bus()];
+    let mut bs = [Fx::ZERO; 64];
+    for a in i16::MIN..=i16::MAX {
+        for block in 0..1024 {
+            for (l, b) in bs.iter_mut().enumerate() {
+                *b = Fx::from_bits((block * 64 + l) as u16);
+            }
+            assert_lanes(&mut ex, buses, Fx::from_raw(a), &bs, |x, y| x + y);
+        }
+    }
+}
+
+/// 1 024 multiplier operands: every raw value within ±1/2 (trained
+/// weights and small activations), walking ones and zeros with their
+/// masks, the range ends, and seeded random words.
+fn structured_operands() -> Vec<Fx> {
+    let mut raws: Vec<i16> = (-512..512).step_by(2).collect();
+    for k in 0..16 {
+        let one = 1u16 << k;
+        for w in [one, !one, one.wrapping_sub(1), !one.wrapping_sub(1)] {
+            raws.push(w as i16);
+        }
+    }
+    raws.extend([i16::MIN, i16::MAX, i16::MIN + 1, i16::MAX - 1, 1024, -1024]);
+    let mut rng = ChaCha8Rng::seed_from_u64(0x5EED);
+    while raws.len() < 1024 {
+        raws.push(rng.random());
+    }
+    raws.into_iter().map(Fx::from_raw).collect()
+}
+
+#[test]
+#[ignore = "2^26 operand pairs: run with --release -- --ignored"]
+fn healthy_multiplier_equals_fx_on_structured_pairs() {
+    let mul = FxMulCircuit::new();
+    let mut ex = mul.lut_exec();
+    let buses = [mul.a_bus(), mul.b_bus(), mul.out_bus()];
+    let operands = structured_operands();
+    for a in i16::MIN..=i16::MAX {
+        for chunk in operands.chunks_exact(64) {
+            let bs: &[Fx; 64] = chunk.try_into().expect("64-operand chunk");
+            assert_lanes(&mut ex, buses, Fx::from_raw(a), bs, |x, y| x * y);
         }
     }
 }

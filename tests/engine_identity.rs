@@ -15,11 +15,21 @@
 //! synapse, built from the public per-synapse accessors, pins that walk
 //! to the original semantics: the same traces, and the same activation
 //! and store state left behind.
+//!
+//! A scalar operator call settles only the fan-in of its defective cells
+//! and returns native arithmetic when no defect is excited. It races a
+//! simulator that sweeps every gate on every call.
+
+use std::sync::Arc;
 
 use dta::ann::{FaultPlan, ForwardTrace, FusedForward, Layer, Mlp, Topology, UnitKind};
-use dta::circuits::{Activation, FaultModel, HwAdder, HwMultiplier, HwSigmoid};
+use dta::circuits::{
+    Activation, DefectPlan, FaultModel, FxMulCircuit, HwAdder, HwMultiplier, HwSigmoid,
+    SatAdderCircuit, SigmoidUnitCircuit,
+};
 use dta::core::{MemGeometry, WeightMemory};
 use dta::fixed::{Fx, SigmoidLut};
+use dta::logic::{SettleMode, Simulator};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -415,4 +425,190 @@ fn sparse_walk_equals_dense_reference() {
         beyond > 0 && with_store > 0 && corrupted > 0,
         "{beyond}/{with_store}/{corrupted}"
     );
+}
+
+/// A faulty operator as the fan-in race drives it, with its oracle: the
+/// operator's circuit settled by a full sweep on every call. Unary
+/// operators ignore the second operand.
+trait Raced {
+    fn draw_plan(
+        &self,
+        model: FaultModel,
+        activation: Activation,
+        n: usize,
+        rng: &mut ChaCha8Rng,
+    ) -> DefectPlan;
+    fn install_plan(&mut self, plan: DefectPlan);
+    fn oracle(&self, plan: &DefectPlan) -> Simulator;
+    fn oracle_eval(&self, sim: &mut Simulator, a: Fx, b: Fx) -> Fx;
+    fn scalar(&mut self, a: Fx, b: Fx) -> Fx;
+    fn batch(&mut self, a: &[Fx], b: &[Fx]) -> Vec<Fx>;
+    fn reset_state(&mut self);
+    fn fanin_settles(&self) -> (u64, u64);
+}
+
+macro_rules! raced {
+    ($op:ty, |$hw:ident, $sim:ident, $a:ident, $b:ident| {
+        oracle: $oracle:expr,
+        scalar: $scalar:expr,
+        batch: |$xs:ident, $ys:ident| $batch:expr $(,)?
+    }) => {
+        impl Raced for $op {
+            fn draw_plan(
+                &self,
+                model: FaultModel,
+                activation: Activation,
+                n: usize,
+                rng: &mut ChaCha8Rng,
+            ) -> DefectPlan {
+                let c = self.circuit();
+                let mut plan = DefectPlan::new(model);
+                for _ in 0..n {
+                    plan.add_random_with(c.netlist(), c.cells(), activation, rng);
+                }
+                plan
+            }
+            fn install_plan(&mut self, plan: DefectPlan) {
+                <$op>::install_plan(self, plan);
+            }
+            fn oracle(&self, plan: &DefectPlan) -> Simulator {
+                let mut sim = self.circuit().simulator();
+                sim.set_settle_mode(SettleMode::Full);
+                plan.apply(&mut sim);
+                sim
+            }
+            fn oracle_eval(&self, $sim: &mut Simulator, $a: Fx, $b: Fx) -> Fx {
+                let $hw = self;
+                $oracle
+            }
+            fn scalar(&mut self, $a: Fx, $b: Fx) -> Fx {
+                let $hw = self;
+                $scalar
+            }
+            fn batch(&mut self, $xs: &[Fx], $ys: &[Fx]) -> Vec<Fx> {
+                let $hw = self;
+                $batch
+            }
+            fn reset_state(&mut self) {
+                <$op>::reset_state(self);
+            }
+            fn fanin_settles(&self) -> (u64, u64) {
+                <$op>::fanin_settles(self)
+            }
+        }
+    };
+}
+
+raced!(HwMultiplier, |hw, sim, a, b| {
+    oracle: hw.circuit().compute(sim, a, b),
+    scalar: hw.mul(a, b),
+    batch: |xs, ys| hw.mul_batch(xs, ys),
+});
+raced!(HwAdder, |hw, sim, a, b| {
+    oracle: hw.circuit().compute(sim, a, b),
+    scalar: hw.add(a, b),
+    batch: |xs, ys| hw.add_batch(xs, ys),
+});
+raced!(HwSigmoid, |hw, sim, a, _b| {
+    oracle: hw.circuit().compute(sim, a),
+    scalar: hw.eval(a),
+    batch: |xs, _ys| hw.eval_batch(xs),
+});
+
+/// Operands shaped like a scalar faulty operator's traffic: fresh random
+/// words, exact repeats, single-bit flips of the previous pair, and small
+/// training-like values (|x| < 2).
+fn operand_stream(rng: &mut ChaCha8Rng, len: usize) -> Vec<(Fx, Fx)> {
+    let mut prev = (Fx::ZERO, Fx::ZERO);
+    (0..len)
+        .map(|_| {
+            prev = match rng.random_range(0..4) {
+                0 => (Fx::from_raw(rng.random()), Fx::from_raw(rng.random())),
+                1 => prev,
+                2 => {
+                    let flip = 1u16 << rng.random_range(0..16);
+                    if rng.random_bool(0.5) {
+                        (Fx::from_bits(prev.0.to_bits() ^ flip), prev.1)
+                    } else {
+                        (prev.0, Fx::from_bits(prev.1.to_bits() ^ flip))
+                    }
+                }
+                _ => (
+                    Fx::from_raw(rng.random_range(-2047..2048)),
+                    Fx::from_raw(rng.random_range(-2047..2048)),
+                ),
+            };
+            prev
+        })
+        .collect()
+}
+
+/// Races one operator against its oracle over every model, lifetime and
+/// defect count, interleaving scalar calls, batch calls and state resets
+/// on both sides. Returns the operator's summed fan-in settle outcomes.
+fn race_operator<O: Raced>(op: &mut O, name: &str) -> (u64, u64) {
+    let mut outcomes = (0, 0);
+    for model in MODELS {
+        for activation in ACTIVATIONS {
+            for n in 1..=6 {
+                for seed in 0..2u64 {
+                    let ctx = format!("{name} {model:?} {activation} n={n} seed={seed}");
+                    let mut rng = ChaCha8Rng::seed_from_u64(seed << 8 | n as u64);
+                    let plan = op.draw_plan(model, activation, n, &mut rng);
+                    let mut oracle = op.oracle(&plan);
+                    op.install_plan(plan);
+                    let before = op.fanin_settles();
+                    let stream = operand_stream(&mut rng, 120);
+                    let mut i = 0;
+                    while i < stream.len() {
+                        match rng.random_range(0..12) {
+                            0 => {
+                                op.reset_state();
+                                oracle.reset_state();
+                            }
+                            1 => {
+                                let k = rng.random_range(1..=70usize).min(stream.len() - i);
+                                let (xs, ys): (Vec<Fx>, Vec<Fx>) =
+                                    stream[i..i + k].iter().copied().unzip();
+                                let want: Vec<Fx> = xs
+                                    .iter()
+                                    .zip(&ys)
+                                    .map(|(&x, &y)| op.oracle_eval(&mut oracle, x, y))
+                                    .collect();
+                                assert_eq!(op.batch(&xs, &ys), want, "{ctx} batch at {i}");
+                                i += k;
+                            }
+                            _ => {
+                                let (x, y) = stream[i];
+                                let want = op.oracle_eval(&mut oracle, x, y);
+                                assert_eq!(op.scalar(x, y), want, "{ctx} call {i}");
+                                i += 1;
+                            }
+                        }
+                    }
+                    let after = op.fanin_settles();
+                    outcomes.0 += after.0 - before.0;
+                    outcomes.1 += after.1 - before.1;
+                }
+            }
+        }
+    }
+    outcomes
+}
+
+#[test]
+fn fanin_settle_equals_full_sweep_oracle() {
+    let mul = Arc::new(FxMulCircuit::new());
+    let add = Arc::new(SatAdderCircuit::new());
+    let act = Arc::new(SigmoidUnitCircuit::new());
+    let results = [
+        race_operator(&mut HwMultiplier::with_circuit(mul), "mul"),
+        race_operator(&mut HwAdder::with_circuit(add), "add"),
+        race_operator(&mut HwSigmoid::with_circuit(act), "act"),
+    ];
+    // Each operator must both return native arithmetic for a masked
+    // defect and complete the settle for an excited one.
+    for ((masked, excited), name) in results.into_iter().zip(["mul", "add", "act"]) {
+        assert!(masked > 0 && excited > 0, "{name}: {masked}/{excited}");
+    }
 }
