@@ -22,6 +22,16 @@
 //!    gate-simulated per lane, sharing the scalar simulator's state;
 //! 4. **scalar** — the event-driven [`dta_logic::Simulator`], one
 //!    stimulus at a time, when the cone plan is refused.
+//!
+//! The scalar entry points (`add`, `mul`, `eval`) of a faulty operator
+//! under a permanent plan sit behind a fixed 1 024-entry direct-mapped
+//! memo keyed by (operands, live behavior state): on a latch-free
+//! circuit the settled output and the cells' next state are a function
+//! of that key (see [`dta_logic::Simulator::override_state`]), so a
+//! recurring key restores the memoized next state and returns the
+//! memoized output without a gate-level settle. A miss settles only the
+//! defects' fan-in ([`dta_logic::Simulator::settle_or_mask`]). Dynamic
+//! plans report no state and always settle; a new plan drops the memo.
 
 use std::sync::{Arc, OnceLock};
 
@@ -38,6 +48,38 @@ use crate::sigmoid_unit::SigmoidUnitCircuit;
 fn sigmoid_lut() -> &'static SigmoidLut {
     static LUT: OnceLock<SigmoidLut> = OnceLock::new();
     LUT.get_or_init(SigmoidLut::new)
+}
+
+/// The memo key's operand bits of a two-operand call.
+fn operand_pair(a: Fx, b: Fx) -> u32 {
+    u32::from(a.to_bits()) << 16 | u32::from(b.to_bits())
+}
+
+/// Entries of each faulty operator's memo: a fixed bound per operator.
+const MEMO_ENTRIES: usize = 1024;
+
+/// Direct-mapped memo of a permanent faulty operator, keyed by
+/// `state << 32 | operands` (the live behavior state of
+/// [`dta_logic::Simulator::override_state`] and the packed operand
+/// bits), mapping to `next_state << 16 | output`. The state is at most
+/// 31 bits, so no key equals the empty marker `u64::MAX`.
+#[derive(Debug)]
+struct OpMemo {
+    entries: Box<[(u64, u64)]>,
+}
+
+impl OpMemo {
+    fn new() -> OpMemo {
+        OpMemo {
+            entries: vec![(u64::MAX, 0); MEMO_ENTRIES].into_boxed_slice(),
+        }
+    }
+
+    /// The entry `key` maps to (Fibonacci hashing on the top bits).
+    fn slot(&mut self, key: u64) -> &mut (u64, u64) {
+        let i = key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - MEMO_ENTRIES.trailing_zeros());
+        &mut self.entries[i as usize]
+    }
 }
 
 macro_rules! hw_operator {
@@ -59,6 +101,12 @@ macro_rules! hw_operator {
             /// cone path so memory effects share `sim`'s behavior state
             /// with the scalar entry points.
             lut: Option<dta_logic::LutExec>,
+            /// Scalar-call memo, allocated on the first scalar call of a
+            /// memoizable (permanent, latch-free) plan and dropped with
+            /// the plan.
+            memo: Option<OpMemo>,
+            /// Scalar calls answered from the memo, over all plans.
+            memo_hits: u64,
             plan: DefectPlan,
         }
 
@@ -77,6 +125,8 @@ macro_rules! hw_operator {
                     sim,
                     healthy64: None,
                     lut: None,
+                    memo: None,
+                    memo_hits: 0,
                     plan: DefectPlan::new(FaultModel::TransistorLevel),
                 }
             }
@@ -87,6 +137,7 @@ macro_rules! hw_operator {
             fn rebuild_batch_engines(&mut self) {
                 self.lut = None;
                 self.healthy64 = None;
+                self.memo = None;
                 if self.plan.is_empty() {
                     return;
                 }
@@ -185,6 +236,42 @@ macro_rules! hw_operator {
                 self.plan.len()
             }
 
+            /// Evaluates one scalar call of a faulty operator through the
+            /// memo. `operands` packs the operand bits; `settle` runs the
+            /// gate-level evaluation on a miss. A permanent plan on a
+            /// latch-free circuit makes the operator a Mealy machine over
+            /// (operands, live behavior state), so a hit restores the
+            /// memoized next state and returns the memoized output
+            /// without driving the simulator. Plans that cannot be
+            /// memoized (dynamic activation) always settle.
+            fn memoized(
+                &mut self,
+                operands: u32,
+                settle: impl FnOnce(&$circuit, &mut dta_logic::Simulator) -> Fx,
+            ) -> Fx {
+                let Some(state) = self.sim.override_state() else {
+                    return settle(&self.circuit, &mut self.sim);
+                };
+                let key = state << 32 | u64::from(operands);
+                let slot = self.memo.get_or_insert_with(OpMemo::new).slot(key);
+                if slot.0 == key {
+                    self.memo_hits += 1;
+                    self.sim.set_override_state(slot.1 >> 16);
+                    return Fx::from_bits(slot.1 as u16);
+                }
+                let out = settle(&self.circuit, &mut self.sim);
+                let next = self.sim.override_state().expect("plan stays memoizable");
+                *slot = (key, next << 16 | u64::from(out.to_bits()));
+                out
+            }
+
+            /// Scalar calls answered from the memo instead of a
+            /// gate-level settle, summed over every plan this operator
+            /// has held.
+            pub fn memo_hits(&self) -> u64 {
+                self.memo_hits
+            }
+
             /// Scalar evaluations that settled only the defects' fan-in,
             /// by outcome: `(masked, excited)` — see
             /// [`dta_logic::Simulator::fanin_settles`].
@@ -241,9 +328,9 @@ impl HwAdder {
         if self.plan.is_empty() {
             return a + b;
         }
-        self.circuit
-            .compute_or_mask(&mut self.sim, a, b)
-            .unwrap_or(a + b)
+        self.memoized(operand_pair(a, b), |c, sim| {
+            c.compute_or_mask(sim, a, b).unwrap_or(a + b)
+        })
     }
 
     /// Computes a whole batch of sums on the rung the plan lowers to
@@ -294,9 +381,9 @@ impl HwMultiplier {
         if self.plan.is_empty() {
             return a * b;
         }
-        self.circuit
-            .compute_or_mask(&mut self.sim, a, b)
-            .unwrap_or(a * b)
+        self.memoized(operand_pair(a, b), |c, sim| {
+            c.compute_or_mask(sim, a, b).unwrap_or(a * b)
+        })
     }
 
     /// Computes a whole batch of products on the rung the plan lowers
@@ -346,9 +433,10 @@ impl HwSigmoid {
         if self.plan.is_empty() {
             return sigmoid_lut().eval(x);
         }
-        self.circuit
-            .compute_or_mask(&mut self.sim, x)
-            .unwrap_or_else(|| sigmoid_lut().eval(x))
+        self.memoized(u32::from(x.to_bits()), |c, sim| {
+            c.compute_or_mask(sim, x)
+                .unwrap_or_else(|| sigmoid_lut().eval(x))
+        })
     }
 
     /// Computes a whole batch of activations on the rung the plan

@@ -156,6 +156,22 @@ pub trait GateBehavior: fmt::Debug + Send {
 
     /// Clears any internal state (memory effects, delay pipelines).
     fn reset(&mut self) {}
+
+    /// The live state that future evaluations can read, packed into the
+    /// low `width` bits of a word, as `(bits, width)`. Two behaviors in
+    /// the same packed state give the same outputs and next states on
+    /// every input sequence, so a faulty circuit can be memoized on
+    /// (inputs, packed state). The width is fixed for the behavior's
+    /// lifetime. The default `None` marks a behavior whose future does
+    /// not follow from a packable state (dynamic activation draws), which
+    /// must never be memoized.
+    fn state(&self) -> Option<(u64, u32)> {
+        None
+    }
+
+    /// Restores a state packed by [`GateBehavior::state`]. Only called
+    /// on behaviors whose `state` is `Some`.
+    fn set_state(&mut self, _bits: u64) {}
 }
 
 #[cfg(test)]

@@ -195,6 +195,11 @@ pub struct Simulator {
     /// [`Simulator::settle_or_mask`] calls that settled the fan-in, by
     /// outcome: `(masked, excited)`.
     fanin_settles: (u64, u64),
+    /// `(node, width)` of each overridden behavior with live state, in
+    /// `override_sched` order, packing [`Simulator::override_state`];
+    /// `None` when the override set cannot be memoized. Rebuilt on every
+    /// override change.
+    state_slots: Option<Vec<(u32, u32)>>,
 }
 
 impl Simulator {
@@ -210,7 +215,7 @@ impl Simulator {
         }
         let overrides = std::iter::repeat_with(|| None).take(values.len()).collect();
         let n_sched = net.schedule().0.len();
-        Simulator {
+        let mut sim = Simulator {
             net,
             values,
             overrides,
@@ -226,7 +231,10 @@ impl Simulator {
             cone: None,
             fanin: None,
             fanin_settles: (0, 0),
-        }
+            state_slots: None,
+        };
+        sim.state_slots = sim.build_state_slots();
+        sim
     }
 
     /// The active settle strategy.
@@ -513,6 +521,75 @@ impl Simulator {
         })
     }
 
+    /// The packed live state of every overridden behavior (see
+    /// [`GateBehavior::state`]), concatenated LSB first in schedule
+    /// order. On a latch-free netlist each overridden gate is evaluated
+    /// exactly once per settle, so the settled outputs and the next state
+    /// are a function of the inputs and this word: a faulty circuit is a
+    /// Mealy machine over it, and can be memoized on it.
+    ///
+    /// `None` when some behavior reports no state, the packed width
+    /// exceeds 31 bits, or the netlist has latches (their values are
+    /// state the word does not carry).
+    pub fn override_state(&self) -> Option<u64> {
+        let slots = self.state_slots.as_ref()?;
+        let mut state = 0u64;
+        let mut shift = 0u32;
+        for &(node, width) in slots {
+            let behavior = self.overrides[node as usize]
+                .as_ref()
+                .expect("slot is overridden");
+            let (bits, _) = behavior.state().expect("state width is fixed");
+            state |= bits << shift;
+            shift += width;
+        }
+        Some(state)
+    }
+
+    /// Restores every overridden behavior to a state packed by
+    /// [`Simulator::override_state`]. Node values are left as they are:
+    /// every settle path evaluates each overridden gate, so the next
+    /// settle reconverges on the restored behaviors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`Simulator::override_state`] is `None`.
+    pub fn set_override_state(&mut self, mut state: u64) {
+        let slots = self
+            .state_slots
+            .as_ref()
+            .expect("override set is memoizable");
+        for &(node, width) in slots {
+            let behavior = self.overrides[node as usize]
+                .as_mut()
+                .expect("slot is overridden");
+            behavior.set_state(state & ((1 << width) - 1));
+            state >>= width;
+        }
+    }
+
+    /// The layout behind [`Simulator::override_state`].
+    fn build_state_slots(&self) -> Option<Vec<(u32, u32)>> {
+        if !self.net.latches().is_empty() {
+            return None;
+        }
+        let (sched, _) = self.net.schedule();
+        let mut slots = Vec::new();
+        let mut total = 0u32;
+        for &pos in &self.override_sched {
+            let node = sched[pos as usize].out;
+            let (_, width) = self.overrides[node as usize].as_ref()?.state()?;
+            total += width;
+            if total > 31 {
+                return None;
+            }
+            if width > 0 {
+                slots.push((node, width));
+            }
+        }
+        Some(slots)
+    }
+
     /// Captures each latch's data input into its stored value. Call after
     /// [`Simulator::settle`].
     pub fn tick(&mut self) {
@@ -592,11 +669,13 @@ impl Simulator {
         prev
     }
 
-    /// Forgets the plans built for the previous override set. A stale
-    /// rest may now feed the new fan-in, so the next settle starts over.
+    /// Forgets the plans built for the previous override set and lays out
+    /// the new set's state. A stale rest may now feed the new fan-in, so
+    /// the next settle starts over.
     fn drop_fanin(&mut self) {
         self.cone = None;
         self.fanin = None;
+        self.state_slots = self.build_state_slots();
         if self.rest_stale {
             self.rest_stale = false;
             self.all_dirty = true;

@@ -95,6 +95,11 @@ impl GateBehavior for StuckAt {
             }
         }
     }
+
+    /// Stateless: the output is a function of the pins alone.
+    fn state(&self) -> Option<(u64, u32)> {
+        Some((0, 0))
+    }
 }
 
 /// Several stuck-at faults accumulated on the *same* gate instance, for
@@ -180,6 +185,11 @@ impl GateBehavior for StuckSet {
             patched[k] = v;
         }
         self.kind.eval(&patched)
+    }
+
+    /// Stateless: the output is a function of the pins alone.
+    fn state(&self) -> Option<(u64, u32)> {
+        Some((0, 0))
     }
 }
 

@@ -165,6 +165,30 @@ fn recipe_strategy() -> impl Strategy<Value = GateRecipe> {
     })
 }
 
+/// Drives all three simulators to `w` and settles them, `fanin` by a
+/// plain settle or by `settle_or_mask`; returns whether `fanin` is
+/// fully settled.
+fn step_or_mask(
+    fanin: &mut Simulator,
+    full: &mut Simulator,
+    healthy: &mut Simulator,
+    inputs: &[NodeId],
+    w: u64,
+    plain: bool,
+) -> bool {
+    fanin.set_input_word(inputs, w);
+    full.set_input_word(inputs, w);
+    full.settle();
+    healthy.set_input_word(inputs, w);
+    healthy.settle();
+    if plain {
+        fanin.settle();
+        true
+    } else {
+        fanin.settle_or_mask()
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -284,13 +308,16 @@ proptest! {
     /// node matches; when it masks, the full sweep equals the healthy
     /// circuit everywhere. Plain settles in between must still see a
     /// settled circuit, also after the override set changes while the
-    /// rest is stale.
+    /// rest is stale. A masked step is followed at once by a defect swap
+    /// onto a late gate and a single-bit input change, so the new fan-in
+    /// takes the sparse event-driven path over nodes the mask left stale.
     #[test]
     fn settle_or_mask_matches_full_settle(
         n_inputs in 1usize..6,
-        // A dirty gate is sparse only past 64 gates, and a defect swap
-        // dirties two: large netlists reach the event-driven paths.
-        recipes in prop::collection::vec(recipe_strategy(), 1..400),
+        // A dirty gate is sparse only past 64 gates, a defect swap
+        // dirties two, and one input bit dirties its consumers (about a
+        // dozen here): large netlists reach the event-driven paths.
+        recipes in prop::collection::vec(recipe_strategy(), 1..1600),
         fault_sels in prop::collection::vec((any::<u16>(), 1u32..5), 1..4),
         stimulus in prop::collection::vec((any::<u8>(), any::<bool>(), any::<bool>()), 1..24),
     ) {
@@ -312,22 +339,30 @@ proptest! {
             if !repeat {
                 w = word as u64;
             }
-            fanin.set_input_word(&inputs, w);
-            full.set_input_word(&inputs, w);
-            full.settle();
-            let settled = if plain {
-                fanin.settle();
-                true
-            } else {
-                fanin.settle_or_mask()
-            };
-            healthy.set_input_word(&inputs, w);
-            healthy.settle();
+            let mut settled = step_or_mask(&mut fanin, &mut full, &mut healthy, &inputs, w, plain);
             for &id in &gates {
                 if settled {
                     prop_assert_eq!(fanin.value(id), full.value(id), "node {:?} at step {}", id, step);
                 } else {
                     prop_assert_eq!(full.value(id), healthy.value(id), "masked step {}", step);
+                }
+            }
+            if !settled {
+                let g = faulty.remove(0);
+                fanin.clear_override(g);
+                full.clear_override(g);
+                let g = gates[gates.len() - 1 - word as usize % gates.len().div_ceil(2)];
+                fanin.override_gate(g, Box::new(PeriodicFlip { n: 0, period: 3 }));
+                full.override_gate(g, Box::new(PeriodicFlip { n: 0, period: 3 }));
+                faulty.push(g);
+                w ^= 1 << (word as usize % n_inputs);
+                settled = step_or_mask(&mut fanin, &mut full, &mut healthy, &inputs, w, false);
+                for &id in &gates {
+                    if settled {
+                        prop_assert_eq!(fanin.value(id), full.value(id), "node {:?} after swap at step {}", id, step);
+                    } else {
+                        prop_assert_eq!(full.value(id), healthy.value(id), "masked after swap at step {}", step);
+                    }
                 }
             }
             // Every fourth step, swap one defect for a new one: the new

@@ -138,6 +138,12 @@ pub struct CellTable {
     /// set (no delay defect, no reachable floating state): bit `v` of
     /// `t` is the output for packed pin assignment `v`.
     pin_truth: Option<u64>,
+    /// Bit `i` set iff stage `i` floats on some table index, i.e. reads
+    /// its retained value; the other stages' `mem` is never read.
+    floating: u32,
+    /// Low bits of the previous signal vector that delayed stages read:
+    /// the widest delayed stage's `n_bits`, 0 without a delay defect.
+    prev_bits: u32,
 }
 
 impl CellTable {
@@ -150,6 +156,7 @@ impl CellTable {
         let exprs = reconstruct_cell(cell).expect("every library cell reconstructs");
 
         let mut stages = Vec::with_capacity(exprs.len());
+        let (mut floating, mut prev_bits) = (0u32, 0u32);
         for (si, e) in exprs.iter().enumerate() {
             let n_bits = (arity + si) as u32;
             let delayed = e.zp.has_delay() || e.zn.has_delay();
@@ -175,6 +182,12 @@ impl CellTable {
                 if n {
                     zn[idx / 64] |= 1 << (idx % 64);
                 }
+                if !(p || n) {
+                    floating |= 1 << si;
+                }
+            }
+            if delayed {
+                prev_bits = prev_bits.max(n_bits);
             }
             stages.push(StageTable {
                 n_bits,
@@ -217,6 +230,8 @@ impl CellTable {
             arity,
             stages,
             pin_truth,
+            floating,
+            prev_bits,
         }
     }
 
@@ -382,6 +397,41 @@ impl GateBehavior for CachedCell {
         self.mem.fill(false);
         self.prev = 0;
     }
+
+    /// Packs only what a later evaluation can read: the retained value of
+    /// each stage that floats somewhere (LSB first, in stage order), then
+    /// the low `prev_bits` of the previous signal vector. A
+    /// combinational cell takes the pin-table shortcut and reads neither.
+    fn state(&self) -> Option<(u64, u32)> {
+        let t = &self.table;
+        if t.pin_truth.is_some() {
+            return Some((0, 0));
+        }
+        let mut bits = 0u64;
+        let mut width = 0u32;
+        for (si, &m) in self.mem.iter().enumerate() {
+            if t.floating >> si & 1 == 1 {
+                bits |= u64::from(m) << width;
+                width += 1;
+            }
+        }
+        let prev = u64::from(self.prev) & ((1 << t.prev_bits) - 1);
+        Some((bits | prev << width, width + t.prev_bits))
+    }
+
+    fn set_state(&mut self, mut bits: u64) {
+        let t = &self.table;
+        if t.pin_truth.is_some() {
+            return;
+        }
+        for (si, m) in self.mem.iter_mut().enumerate() {
+            if t.floating >> si & 1 == 1 {
+                *m = bits & 1 == 1;
+                bits >>= 1;
+            }
+        }
+        self.prev = bits as u32;
+    }
 }
 
 #[cfg(test)]
@@ -418,6 +468,70 @@ mod tests {
                 slow.eval_cell(&v),
                 "{label}: diverged at step {step} on {v:?}"
             );
+        }
+    }
+
+    /// Snapshots the live state mid-stimulus, restores it into fresh
+    /// evaluators that first ran a different history, and replays: the
+    /// restored evaluators must track the switch-level cell step for
+    /// step, through the same packed states.
+    fn assert_state_round_trips(cell: &CmosCell, label: &str) {
+        let arity = cell.kind().arity();
+        let mut fast = CachedCell::new(cell);
+        let mut slow = FaultyCell::new(cell.clone());
+        let mut lcg = Lcg(0xC0DE ^ label.len() as u64);
+        let mut restored: Vec<CachedCell> = Vec::new();
+        for step in 0..300 {
+            if step % 60 == 17 {
+                let (bits, width) = fast.state().expect("cached cells report a state");
+                assert!(
+                    width <= 31 && bits >> width == 0,
+                    "{label}: state {bits:#x}/{width}"
+                );
+                let mut fresh = CachedCell::new(cell);
+                let mut other = Lcg(step as u64);
+                for _ in 0..7 {
+                    fresh.eval_cell(&other.next_inputs(arity));
+                }
+                fresh.set_state(bits);
+                restored.push(fresh);
+            }
+            let v = lcg.next_inputs(arity);
+            let want = slow.eval_cell(&v);
+            assert_eq!(fast.eval_cell(&v), want, "{label}: diverged at step {step}");
+            for (k, r) in restored.iter_mut().enumerate() {
+                assert_eq!(r.eval_cell(&v), want, "{label}: restore {k} at step {step}");
+                assert_eq!(
+                    r.state(),
+                    fast.state(),
+                    "{label}: restore {k} at step {step}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn state_round_trips_for_every_single_defect_and_pair() {
+        for kind in GateKind::ALL {
+            let healthy = CmosCell::for_gate(kind);
+            assert_state_round_trips(&healthy, &format!("healthy {kind}"));
+            for defect in healthy.defect_sites() {
+                let mut cell = healthy.clone();
+                cell.inject(defect).unwrap();
+                assert_state_round_trips(&cell, &format!("{kind} + {defect}"));
+            }
+        }
+        for kind in [GateKind::Nand2, GateKind::Oai22, GateKind::Xor2] {
+            let healthy = CmosCell::for_gate(kind);
+            let sites = healthy.defect_sites();
+            for (i, &a) in sites.iter().enumerate().step_by(3) {
+                for &b in sites.iter().skip(i + 1).step_by(5) {
+                    let mut cell = healthy.clone();
+                    cell.inject(a).unwrap();
+                    let _ = cell.inject(b);
+                    assert_state_round_trips(&cell, &format!("{kind} + {a} + {b}"));
+                }
+            }
         }
     }
 

@@ -145,19 +145,66 @@ fn healthy_sigmoid_unit_equals_lut_on_every_input() {
     }
 }
 
+/// The lane mask in which lane `l` carries bit `bit` of `l`.
+fn lane_index_bit(bit: usize) -> u64 {
+    (0..64)
+        .filter(|l| l >> bit & 1 == 1)
+        .fold(0, |m, l| m | 1 << l)
+}
+
+/// Transposes a 16-bit bus read as lane words (bit `l` of `lanes[k]` is
+/// bit `k` of lane `l`) into each lane's word, one 8 × 8 bit block at a
+/// time.
+fn lane_words(lanes: &[u64; 16]) -> [u16; 64] {
+    let mut words = [0u16; 64];
+    for group in 0..8 {
+        for half in 0..2 {
+            // Byte `i` holds bit `8 * half + i` of lanes `8 * group ..`.
+            let mut x = (0..8).fold(0u64, |x, i| {
+                x | (lanes[8 * half + i] >> (8 * group) & 0xFF) << (8 * i)
+            });
+            let t = (x ^ x >> 7) & 0x00AA_00AA_00AA_00AA;
+            x ^= t ^ t << 7;
+            let t = (x ^ x >> 14) & 0x0000_CCCC_0000_CCCC;
+            x ^= t ^ t << 14;
+            let t = (x ^ x >> 28) & 0x0000_0000_F0F0_F0F0;
+            x ^= t ^ t << 28;
+            // Now byte `j` holds those bits of lane `8 * group + j`.
+            for j in 0..8 {
+                words[8 * group + j] |= ((x >> (8 * j)) as u16 & 0xFF) << (8 * half);
+            }
+        }
+    }
+    words
+}
+
 #[test]
 #[ignore = "2^32 operand pairs: run with --release -- --ignored"]
 fn healthy_adder_equals_fx_on_every_pair() {
     let adder = SatAdderCircuit::new();
     let mut ex = adder.lut_exec();
-    let buses = [adder.a_bus(), adder.b_bus(), adder.out_bus()];
-    let mut bs = [Fx::ZERO; 64];
+    let (a_bus, b_bus, out_bus) = (adder.a_bus(), adder.b_bus(), adder.out_bus());
+    // Lane `l` carries `b`'s low six bits `l` for the whole sweep, so each
+    // block of 64 consecutive `b` drives only the ten high bits.
+    for (bit, &id) in b_bus[..6].iter().enumerate() {
+        ex.set_input_lanes(id, lane_index_bit(bit));
+    }
+    let all_or_none = |v: u16, bit: usize| if v >> bit & 1 == 1 { !0 } else { 0 };
     for a in i16::MIN..=i16::MAX {
-        for block in 0..1024 {
-            for (l, b) in bs.iter_mut().enumerate() {
-                *b = Fx::from_bits((block * 64 + l) as u16);
+        let a = Fx::from_raw(a);
+        for (bit, &id) in a_bus.iter().enumerate() {
+            ex.set_input_lanes(id, all_or_none(a.to_bits(), bit));
+        }
+        for block in 0..1024u16 {
+            for (k, &id) in b_bus[6..].iter().enumerate() {
+                ex.set_input_lanes(id, all_or_none(block, k));
             }
-            assert_lanes(&mut ex, buses, Fx::from_raw(a), &bs, |x, y| x + y);
+            ex.exec();
+            let lanes = std::array::from_fn(|bit| ex.lanes(out_bus[bit]));
+            for (l, got) in lane_words(&lanes).into_iter().enumerate() {
+                let b = Fx::from_bits(block << 6 | l as u16);
+                assert_eq!(Fx::from_bits(got), a + b, "{a:?} + {b:?}");
+            }
         }
     }
 }

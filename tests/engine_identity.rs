@@ -17,8 +17,10 @@
 //! and store state left behind.
 //!
 //! A scalar operator call settles only the fan-in of its defective cells
-//! and returns native arithmetic when no defect is excited. It races a
-//! simulator that sweeps every gate on every call.
+//! and returns native arithmetic when no defect is excited; under a
+//! permanent plan it answers recurring (operands, live cell state) keys
+//! from a memo. It races a simulator that sweeps every gate on every
+//! call, across plan swaps.
 
 use std::sync::Arc;
 
@@ -431,14 +433,19 @@ fn sparse_walk_equals_dense_reference() {
 /// operator's circuit settled by a full sweep on every call. Unary
 /// operators ignore the second operand.
 trait Raced {
-    fn draw_plan(
+    /// Adds `n` random defects to `plan`, drawing exactly as the
+    /// operator's own `inject_random_with` does.
+    fn grow_plan(
         &self,
-        model: FaultModel,
+        plan: &mut DefectPlan,
         activation: Activation,
         n: usize,
         rng: &mut ChaCha8Rng,
-    ) -> DefectPlan;
+    );
     fn install_plan(&mut self, plan: DefectPlan);
+    fn inject(&mut self, model: FaultModel, activation: Activation, n: usize, rng: &mut ChaCha8Rng);
+    fn lut_ready(&self) -> bool;
+    fn memo_hits(&self) -> u64;
     fn oracle(&self, plan: &DefectPlan) -> Simulator;
     fn oracle_eval(&self, sim: &mut Simulator, a: Fx, b: Fx) -> Fx;
     fn scalar(&mut self, a: Fx, b: Fx) -> Fx;
@@ -454,22 +461,35 @@ macro_rules! raced {
         batch: |$xs:ident, $ys:ident| $batch:expr $(,)?
     }) => {
         impl Raced for $op {
-            fn draw_plan(
+            fn grow_plan(
                 &self,
+                plan: &mut DefectPlan,
+                activation: Activation,
+                n: usize,
+                rng: &mut ChaCha8Rng,
+            ) {
+                let c = self.circuit();
+                for _ in 0..n {
+                    plan.add_random_with(c.netlist(), c.cells(), activation, rng);
+                }
+            }
+            fn install_plan(&mut self, plan: DefectPlan) {
+                <$op>::install_plan(self, plan);
+            }
+            fn inject(
+                &mut self,
                 model: FaultModel,
                 activation: Activation,
                 n: usize,
                 rng: &mut ChaCha8Rng,
-            ) -> DefectPlan {
-                let c = self.circuit();
-                let mut plan = DefectPlan::new(model);
-                for _ in 0..n {
-                    plan.add_random_with(c.netlist(), c.cells(), activation, rng);
-                }
-                plan
+            ) {
+                <$op>::inject_random_with(self, model, activation, n, rng);
             }
-            fn install_plan(&mut self, plan: DefectPlan) {
-                <$op>::install_plan(self, plan);
+            fn lut_ready(&self) -> bool {
+                <$op>::lut_ready(self)
+            }
+            fn memo_hits(&self) -> u64 {
+                <$op>::memo_hits(self)
             }
             fn oracle(&self, plan: &DefectPlan) -> Simulator {
                 let mut sim = self.circuit().simulator();
@@ -516,13 +536,15 @@ raced!(HwSigmoid, |hw, sim, a, _b| {
 });
 
 /// Operands shaped like a scalar faulty operator's traffic: fresh random
-/// words, exact repeats, single-bit flips of the previous pair, and small
-/// training-like values (|x| < 2).
+/// words, exact repeats, single-bit flips of the previous pair, small
+/// training-like values (|x| < 2), and recurrences from a small pool of
+/// recent pairs (a synapse's weight meeting the same inputs again).
 fn operand_stream(rng: &mut ChaCha8Rng, len: usize) -> Vec<(Fx, Fx)> {
     let mut prev = (Fx::ZERO, Fx::ZERO);
+    let mut recent: Vec<(Fx, Fx)> = Vec::new();
     (0..len)
         .map(|_| {
-            prev = match rng.random_range(0..4) {
+            prev = match rng.random_range(0..6) {
                 0 => (Fx::from_raw(rng.random()), Fx::from_raw(rng.random())),
                 1 => prev,
                 2 => {
@@ -533,40 +555,95 @@ fn operand_stream(rng: &mut ChaCha8Rng, len: usize) -> Vec<(Fx, Fx)> {
                         (prev.0, Fx::from_bits(prev.1.to_bits() ^ flip))
                     }
                 }
-                _ => (
+                3 => (
                     Fx::from_raw(rng.random_range(-2047..2048)),
                     Fx::from_raw(rng.random_range(-2047..2048)),
                 ),
+                _ if recent.is_empty() => prev,
+                _ => recent[rng.random_range(0..recent.len())],
             };
+            if !recent.contains(&prev) {
+                if recent.len() == 6 {
+                    recent.remove(0);
+                }
+                recent.push(prev);
+            }
             prev
         })
         .collect()
 }
 
+/// What one operator's race reached: fan-in settle outcomes, and memo
+/// hits by the kind of plan that served them.
+#[derive(Debug, Default)]
+struct RaceStats {
+    masked: u64,
+    excited: u64,
+    /// Hits under permanent plans that lowered to truth words.
+    hits_lut: u64,
+    /// Hits under permanent plans that keep a stateful cell.
+    hits_stateful: u64,
+    /// Hits under transient or intermittent plans (must stay 0).
+    hits_dynamic: u64,
+}
+
+impl RaceStats {
+    /// Books the memo hits of a segment run under one plan.
+    fn book_hits<O: Raced>(&mut self, op: &O, activation: Activation, since: u64) {
+        let hits = op.memo_hits() - since;
+        if !activation.is_permanent() {
+            self.hits_dynamic += hits;
+        } else if op.lut_ready() {
+            self.hits_lut += hits;
+        } else {
+            self.hits_stateful += hits;
+        }
+    }
+}
+
 /// Races one operator against its oracle over every model, lifetime and
-/// defect count, interleaving scalar calls, batch calls and state resets
-/// on both sides. Returns the operator's summed fan-in settle outcomes.
-fn race_operator<O: Raced>(op: &mut O, name: &str) -> (u64, u64) {
-    let mut outcomes = (0, 0);
+/// defect count, interleaving scalar calls, batch calls, state resets and
+/// plan swaps (a fresh plan, or defects added in place) on both sides.
+/// Recurring operands persist across swaps, so a memo entry left over
+/// from an earlier plan would be read back.
+fn race_operator<O: Raced>(op: &mut O, name: &str) -> RaceStats {
+    let mut stats = RaceStats::default();
     for model in MODELS {
         for activation in ACTIVATIONS {
             for n in 1..=6 {
                 for seed in 0..2u64 {
                     let ctx = format!("{name} {model:?} {activation} n={n} seed={seed}");
                     let mut rng = ChaCha8Rng::seed_from_u64(seed << 8 | n as u64);
-                    let plan = op.draw_plan(model, activation, n, &mut rng);
+                    let mut plan = DefectPlan::new(model);
+                    op.grow_plan(&mut plan, activation, n, &mut rng);
                     let mut oracle = op.oracle(&plan);
-                    op.install_plan(plan);
+                    op.install_plan(plan.clone());
                     let before = op.fanin_settles();
-                    let stream = operand_stream(&mut rng, 120);
+                    let mut hits = op.memo_hits();
+                    let stream = operand_stream(&mut rng, 160);
                     let mut i = 0;
                     while i < stream.len() {
-                        match rng.random_range(0..12) {
+                        match rng.random_range(0..20) {
                             0 => {
                                 op.reset_state();
                                 oracle.reset_state();
                             }
                             1 => {
+                                stats.book_hits(op, activation, hits);
+                                plan = DefectPlan::new(model);
+                                op.grow_plan(&mut plan, activation, n, &mut rng);
+                                oracle = op.oracle(&plan);
+                                op.install_plan(plan.clone());
+                                hits = op.memo_hits();
+                            }
+                            2 => {
+                                stats.book_hits(op, activation, hits);
+                                op.inject(model, activation, 1, &mut rng.clone());
+                                op.grow_plan(&mut plan, activation, 1, &mut rng);
+                                oracle = op.oracle(&plan);
+                                hits = op.memo_hits();
+                            }
+                            3 | 4 => {
                                 let k = rng.random_range(1..=70usize).min(stream.len() - i);
                                 let (xs, ys): (Vec<Fx>, Vec<Fx>) =
                                     stream[i..i + k].iter().copied().unzip();
@@ -586,14 +663,15 @@ fn race_operator<O: Raced>(op: &mut O, name: &str) -> (u64, u64) {
                             }
                         }
                     }
+                    stats.book_hits(op, activation, hits);
                     let after = op.fanin_settles();
-                    outcomes.0 += after.0 - before.0;
-                    outcomes.1 += after.1 - before.1;
+                    stats.masked += after.0 - before.0;
+                    stats.excited += after.1 - before.1;
                 }
             }
         }
     }
-    outcomes
+    stats
 }
 
 #[test]
@@ -607,8 +685,12 @@ fn fanin_settle_equals_full_sweep_oracle() {
         race_operator(&mut HwSigmoid::with_circuit(act), "act"),
     ];
     // Each operator must both return native arithmetic for a masked
-    // defect and complete the settle for an excited one.
-    for ((masked, excited), name) in results.into_iter().zip(["mul", "add", "act"]) {
-        assert!(masked > 0 && excited > 0, "{name}: {masked}/{excited}");
+    // defect and complete the settle for an excited one, and answer
+    // recurring calls from the memo under both kinds of permanent plan,
+    // but never under a dynamic one.
+    for (s, name) in results.into_iter().zip(["mul", "add", "act"]) {
+        assert!(s.masked > 0 && s.excited > 0, "{name}: {s:?}");
+        assert!(s.hits_lut > 0 && s.hits_stateful > 0, "{name}: {s:?}");
+        assert_eq!(s.hits_dynamic, 0, "{name}: {s:?}");
     }
 }
